@@ -125,7 +125,7 @@ class CartesianVec:
         return to_spherical(self, fallback)
 
     def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.components))
+        return math.hypot(*self.components)
 
     def __add__(self, other: "CartesianVec") -> "CartesianVec":
         return add(self, other)
@@ -187,12 +187,16 @@ def promote(h: SphericalForm, dim: int) -> SphericalForm:
 
 
 def partial_moduli(v: CartesianVec) -> PartialModuli:
-    """Running Euclidean norms of the leading components; last entry = |v|."""
+    """Running Euclidean norms of the leading components; last entry = |v|.
+
+    Accumulated with ``hypot`` so that finite components whose squares would
+    overflow or underflow still give the finite, nonzero norm.
+    """
     out = []
-    s = 0.0
+    r = 0.0
     for c in v.components:
-        s += c * c
-        out.append(math.sqrt(s))
+        r = math.hypot(r, c)
+        out.append(r)
     return PartialModuli(tuple(out))
 
 
@@ -229,11 +233,7 @@ def to_spherical(
     comps = v.components
     n = v.dim
     chain = partial_moduli(v).values
-    m = 0
-    for c in comps:
-        if c != 0.0:
-            break
-        m += 1
+    m = _leading_zeros(comps)
     fb = fallback.longitudes if fallback is not None else ()
     args = [0.0] * (n - 1)
     for i in range(max(m - 1, 0)):
@@ -334,9 +334,10 @@ def mul_cartesian(
         x''_N =  x_N r'_{N-1} + x'_N r_{N-1}
 
     where ``F_k = prod_{n=k..N} (1 - x_n x'_n / (r_{n-1} r'_{n-1}))`` and
-    ``r_n`` are the partial moduli.  The denominators need ``r_2..r_{N-1}``
-    nonzero on both sides; when one vanishes the product is computed through
-    the geometric form instead, which requires the unrecoverable longitudes:
+    ``r_n`` are the partial moduli.  The denominators must be nonzero; when
+    one vanishes (a zero ``r_2`` on either side, or a product of tiny moduli
+    that underflows) the product is computed through the geometric form
+    instead, which requires the unrecoverable longitudes:
     a degenerate *nonzero* operand without a fallback is rejected with
     :class:`DegenerateLongitudeError` (a zero operand is fine -- the product
     is zero whatever its arguments are).
@@ -348,7 +349,9 @@ def mul_cartesian(
     ra = partial_moduli(a).values
     rb = partial_moduli(b).values
 
-    if n >= 3 and (ra[1] == 0.0 or rb[1] == 0.0):
+    # the partial moduli are nondecreasing, so r_2 r'_2 is the smallest
+    # denominator; testing the product also catches one that underflows
+    if n >= 3 and ra[1] * rb[1] == 0.0:
         for comps, chain, fb, side in (
             (ca, ra, a_fallback, "left"),
             (cb, rb, b_fallback, "right"),

@@ -10,14 +10,14 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
   with ``c_y = 0`` stay in the y = 0 plane, where the map is the classical
   complex one under the substitution y -> z.
 
-Both kernels exist as scalar steps and as vectorized lattice kernels that
-apply the identical floating-point expression trees, so per-cell results are
-bitwise independent of grid shape, tiling and parallelism.
+Each approach has a single array step kernel.  The lattice render, the
+one-cell ``escape_time`` and the one-step ``iterate_*`` helpers all run it,
+so per-cell results are bitwise independent of grid shape, tiling and
+parallelism.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -47,13 +47,12 @@ _MAX_CELLS = 1 << 26  # lattice guard, ~0.5 GiB of float64 state
 class FractalConfig:
     """Sampling box, resolution and iteration budget for one render.
 
-    The escape radius is pinned at 2.0: membership is only meaningful inside
-    that disk, and every exporter and oracle assumes it.
+    The escape radius is fixed at 2, not configurable: membership is only
+    meaningful inside that disk, and every exporter and oracle assumes it.
     """
 
     approach: str = "first"
     n_max: int = 100
-    escape_radius: float = 2.0
     region: tuple[tuple[float, float], ...] = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
     resolution: tuple[int, int, int] = (64, 64, 64)
     slice_spec: Optional[tuple[str, float]] = None
@@ -63,8 +62,6 @@ class FractalConfig:
             raise ValueError(f"approach must be one of {_APPROACHES}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.escape_radius != 2.0:
-            raise ValueError("escape radius is fixed at 2.0")
         region = tuple((float(lo), float(hi)) for lo, hi in self.region)
         object.__setattr__(self, "region", region)
         if len(region) != 3 or any(hi < lo for lo, hi in region):
@@ -99,88 +96,12 @@ def axis_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
 
-# -- scalar steps -----------------------------------------------------------
-# The vectorized kernels below must keep these exact expression trees.
+# -- step kernels: one per approach, on arrays or numpy scalars ---------------
 
-def _step_first(x, y, z, cx, cy, cz):
-    rho2 = x * x + y * y
-    if rho2 == 0.0:
-        # pure z-axis state: squaring needs a longitude, fixed at 0 so the
-        # iteration stays deterministic
-        return -(z * z) + cx, cy, cz
-    f = 1.0 - (z * z) / rho2
-    return (
-        (x * x - y * y) * f + cx,
-        (2.0 * x * y) * f + cy,
-        (2.0 * z) * math.sqrt(rho2) + cz,
-    )
-
-
-def _step_second(x, y, z, cx, cy, cz):
-    # Doubled-angle square of the alternative resolution, evaluated through
-    # exact half-angle algebra instead of trig calls:
-    #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
-    #   cos 2P = (rho^2 - z^2)/r^2      sin 2P = s*2*rho*z/r^2
-    # with s = -1 in the x < 0 (or x = 0, y < 0) half-space where the
-    # latitude is offset by +-pi.  The r^2 modulus of the square cancels the
-    # 1/r^2 of the doubled angles.
-    rho2 = x * x + y * y
-    if rho2 == 0.0:
-        if z == 0.0:
-            return cx, cy, cz  # undetermined latitude: next state is just c
-        # pure z-axis state: same zero-longitude rule as the first approach
-        # (T = 0, P = +-pi/2), keeping the y = 0 plane exactly complex
-        return -(z * z) + cx, cy, cz
-    t = rho2 - z * z
-    rho = math.sqrt(rho2)
-    srho = rho if (x > 0.0 or (x == 0.0 and y > 0.0)) else -rho
-    return (
-        ((x * x - y * y) / rho2) * t + cx,
-        ((2.0 * x * y) / rho2) * t + cy,
-        (2.0 * srho) * z + cz,
-    )
-
-
-def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One Cartesian-formula step of ``h -> h**2 + c`` (3D)."""
-    _require3(state, c)
-    return CartesianVec(_step_first(*state.components, *c.components))
-
-
-def iterate_second(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One doubled-angle step of ``h -> h**2 + c`` (3D)."""
-    _require3(state, c)
-    return CartesianVec(_step_second(*state.components, *c.components))
-
-
-def _require3(*vs: CartesianVec):
-    for v in vs:
-        if v.dim != 3:
-            raise ValueError(f"expected dimension 3, got {v.dim}")
-
-
-def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
-    """First n in [1, n_max] with |h_n| > 2, else n_max (member).
-
-    The comparison is on squared moduli, which is the same predicate without
-    a square root in the loop.
-    """
-    _require3(c)
-    step = _step_first if cfg.approach == "first" else _step_second
-    cx, cy, cz = c.components
-    esc2 = cfg.escape_radius * cfg.escape_radius
-    x = y = z = 0.0
-    for n in range(1, cfg.n_max + 1):
-        x, y, z = step(x, y, z, cx, cy, cz)
-        if x * x + y * y + z * z > esc2:
-            return n
-    return cfg.n_max
-
-
-# -- vectorized lattice kernels ---------------------------------------------
-
-def _grid_step_first(X, Y, Z, CX, CY, CZ):
+def _step_first(X, Y, Z, CX, CY, CZ):
     RHO2 = X * X + Y * Y
+    # pure z-axis states (rho = 0) need a longitude to square: it is fixed at
+    # 0 so the iteration stays deterministic
     deg = RHO2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         F = 1.0 - (Z * Z) / RHO2
@@ -190,7 +111,17 @@ def _grid_step_first(X, Y, Z, CX, CY, CZ):
     return XN, YN, ZN
 
 
-def _grid_step_second(X, Y, Z, CX, CY, CZ):
+def _step_second(X, Y, Z, CX, CY, CZ):
+    # Doubled-angle square of the alternative resolution, evaluated through
+    # exact half-angle algebra instead of trig calls:
+    #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
+    #   cos 2P = (rho^2 - z^2)/r^2      sin 2P = s*2*rho*z/r^2
+    # with s = -1 in the x < 0 (or x = 0, y < 0) half-space where the
+    # latitude is offset by +-pi.  The r^2 modulus of the square cancels the
+    # 1/r^2 of the doubled angles.  At the origin the latitude is undetermined
+    # and the next state is just c; other pure z-axis states take the first
+    # approach's zero-longitude rule (T = 0, P = +-pi/2), which keeps the
+    # y = 0 plane exactly complex.
     RHO2 = X * X + Y * Y
     deg = RHO2 == 0.0
     zero = deg & (Z == 0.0)
@@ -206,10 +137,49 @@ def _grid_step_second(X, Y, Z, CX, CY, CZ):
     return XN, YN, ZN
 
 
+_STEPS = {"first": _step_first, "second": _step_second}
+
+
+def _require3(*vs: CartesianVec):
+    for v in vs:
+        if v.dim != 3:
+            raise ValueError(f"expected dimension 3, got {v.dim}")
+
+
+def _iterate(step, state: CartesianVec, c: CartesianVec) -> CartesianVec:
+    _require3(state, c)
+    # a state too large to square overflows to inf, which CartesianVec rejects
+    with np.errstate(over="ignore"):
+        return CartesianVec(step(*map(np.float64, state.components + c.components)))
+
+
+def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
+    """One Cartesian-formula step of ``h -> h**2 + c`` (3D)."""
+    return _iterate(_step_first, state, c)
+
+
+def iterate_second(state: CartesianVec, c: CartesianVec) -> CartesianVec:
+    """One doubled-angle step of ``h -> h**2 + c`` (3D)."""
+    return _iterate(_step_second, state, c)
+
+
+def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
+    """First n in [1, n_max] with |h_n| > 2, else n_max (member): the
+    lattice render of a single cell at ``c``."""
+    _require3(c)
+    return int(_render_block(cfg, *([v] for v in c.components))[0, 0, 0])
+
+
+# -- lattice render ----------------------------------------------------------------
+
+def _cell_axes(cfg: FractalConfig) -> list[np.ndarray]:
+    """Cell-center coordinates along x, y and z."""
+    return [axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution)]
+
+
 def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     CX, CY, CZ = np.meshgrid(xs, ys, zs, indexing="ij")
-    grid_step = _grid_step_first if cfg.approach == "first" else _grid_step_second
-    esc2 = cfg.escape_radius * cfg.escape_radius
+    step = _STEPS[cfg.approach]
     shape = CX.shape
     X = np.zeros(shape)
     Y = np.zeros(shape)
@@ -217,11 +187,12 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     counts = np.full(shape, cfg.n_max, dtype=np.int32)
     active = np.ones(shape, dtype=bool)
     for n in range(1, cfg.n_max + 1):
-        XN, YN, ZN = grid_step(X, Y, Z, CX, CY, CZ)
+        XN, YN, ZN = step(X, Y, Z, CX, CY, CZ)
         X = np.where(active, XN, X)
         Y = np.where(active, YN, Y)
         Z = np.where(active, ZN, Z)
-        escaped = active & ((X * X + Y * Y) + Z * Z > esc2)
+        # radius-2 escape test on squared moduli
+        escaped = active & ((X * X + Y * Y) + Z * Z > 4.0)
         counts[escaped] = n
         active &= ~escaped
         if not active.any():
@@ -232,25 +203,20 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
-    ``workers > 1`` splits the lattice into z-slabs computed concurrently;
-    each cell is independent, so the counts are bitwise identical for any
-    worker count.
+    ``workers > 1`` splits the lattice into at most one z-slab per z-plane,
+    computed concurrently; each cell is independent, so the counts are
+    bitwise identical for any worker count.
     """
-    xs = axis_centers(cfg.region[0][0], cfg.region[0][1], cfg.resolution[0])
-    ys = axis_centers(cfg.region[1][0], cfg.region[1][1], cfg.resolution[1])
-    zs = axis_centers(cfg.region[2][0], cfg.region[2][1], cfg.resolution[2])
-    nz = cfg.resolution[2]
-    if workers <= 1 or nz == 1:
+    xs, ys, zs = _cell_axes(cfg)
+    slabs = np.array_split(zs, min(max(workers, 1), len(zs)))
+    if len(slabs) == 1:
+        # A single slab runs on the calling thread: a pool thread would get
+        # its own malloc arena and raise peak memory for no parallelism.
         counts = _render_block(cfg, xs, ys, zs)
     else:
-        counts = np.empty(cfg.resolution, dtype=np.int32)
-        bounds = [(b[0], b[-1] + 1) for b in np.array_split(np.arange(nz), min(workers, nz))]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = pool.map(
-                lambda se: _render_block(cfg, xs, ys, zs[se[0]:se[1]]), bounds
-            )
-            for (start, end), slab in zip(bounds, slabs):
-                counts[:, :, start:end] = slab
+        with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
+            parts = pool.map(lambda zslab: _render_block(cfg, xs, ys, zslab), slabs)
+            counts = np.concatenate(list(parts), axis=2)
     counts.flags.writeable = False
     return MembershipGrid(config=cfg, counts=counts)
 
@@ -278,7 +244,7 @@ def _slice_plane(grid: MembershipGrid):
         raise ValueError("config has no slice; pgm_slice needs one")
     axis, value = grid.config.slice_spec
     ai = _AXES.index(axis)
-    centers = axis_centers(*grid.config.region[ai], grid.config.resolution[ai])
+    centers = _cell_axes(grid.config)[ai]
     idx = int(np.argmin(np.abs(centers - value)))
     plane = np.take(grid.counts, idx, axis=ai)
     # remaining axes in (x, y, z) order: first is image width, second height
@@ -297,9 +263,7 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
             for row in range(height - 1, -1, -1):  # top row = highest coordinate
                 fh.write(data[:, row].tobytes())
     elif fmt == "csv":
-        xs = axis_centers(*cfg.region[0], cfg.resolution[0])
-        ys = axis_centers(*cfg.region[1], cfg.resolution[1])
-        zs = axis_centers(*cfg.region[2], cfg.resolution[2])
+        xs, ys, zs = _cell_axes(cfg)
         with open(destination, "w", encoding="ascii") as fh:
             fh.write("x,y,z,escape\n")
             for iz, zc in enumerate(zs):

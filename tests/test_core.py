@@ -105,6 +105,22 @@ def test_to_spherical_zero_vector_keeps_recorded_args():
     assert h.args == (0.5, 0.25)
 
 
+# (1, 1, 1) direction: longitude pi/4, latitude atan(1/sqrt(2))
+DIAG_ARGS = (PI / 4, math.atan(1.0 / math.sqrt(2)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_to_spherical_extreme_finite_scale(scale):
+    # the squares of these components overflow (or underflow) a float, the
+    # norm does not
+    v = CartesianVec((scale,) * 3)
+    h = to_spherical(v)
+    want = math.sqrt(3) * scale
+    for got in (h.modulus, v.norm()):
+        assert abs(got - want) <= 1e-15 * want
+    assert max_gap(h.args, DIAG_ARGS) < 1e-15
+
+
 def test_roundtrip_is_argumentwise_identity():
     rng = random.Random(11)
     for _ in range(800):
@@ -240,6 +256,19 @@ def test_mul_cartesian_zero_operand_needs_no_fallback():
     zero = CartesianVec((0.0, 0.0, 0.0))
     got = mul_cartesian(zero, CartesianVec((1.0, 2.0, 3.0)))
     assert got.components == (0.0, 0.0, 0.0)
+
+
+def test_mul_cartesian_huge_times_tiny_matches_geometric():
+    a, b = CartesianVec((1e160,) * 3), CartesianVec((1e-160,) * 3)
+    got = mul_cartesian(a, b)
+    want = to_cartesian(mul_geometric(to_spherical(a), to_spherical(b)))
+    assert max_gap(got.components, want.components) < 1e-12 * 3.0
+
+
+def test_mul_cartesian_tiny_times_tiny_is_zero():
+    # r_2 r'_2 underflows to 0; the true product (modulus 3e-400) rounds to 0
+    t = CartesianVec((1e-200,) * 3)
+    assert all(c == 0.0 for c in mul_cartesian(t, t).components)
 
 
 def test_mul_cartesian_dim2_is_complex_multiplication():

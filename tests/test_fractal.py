@@ -187,10 +187,15 @@ def test_raising_n_max_preserves_escape_times():
 
 
 def test_render_is_deterministic_across_worker_counts():
-    cfg = FractalConfig(n_max=50, resolution=(33, 17, 29))
-    a = render_grid(cfg, workers=1)
-    b = render_grid(cfg, workers=4)
-    assert np.array_equal(a.counts, b.counts)
+    for resolution, workers in (
+        ((33, 17, 29), 4),
+        ((33, 17, 29), 0),
+        ((5, 4, 3), 8),  # more workers than z-planes: one slab per plane
+    ):
+        cfg = FractalConfig(n_max=50, resolution=resolution)
+        a = render_grid(cfg, workers=1)
+        b = render_grid(cfg, workers=workers)
+        assert np.array_equal(a.counts, b.counts)
 
 
 def test_single_cell_grid_is_member():
@@ -205,7 +210,7 @@ def test_config_validation():
         FractalConfig(approach="third")
     with pytest.raises(ValueError):
         FractalConfig(n_max=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the radius is fixed at 2: no such field
         FractalConfig(escape_radius=2.5)
     with pytest.raises(ValueError):
         FractalConfig(resolution=(0, 4, 4))
