@@ -35,15 +35,6 @@ from .extensions import (
     replicate_products,
     scalar_embed,
 )
-from .fractal import (
-    FractalConfig,
-    MembershipGrid,
-    escape_time,
-    export_grid,
-    iterate_first,
-    iterate_second,
-    render_grid,
-)
 from .relativity import (
     EventDelta,
     SquareProjection,
@@ -54,6 +45,26 @@ from .relativity import (
 )
 
 __version__ = "0.1.0"
+
+# The renderer needs numpy; the algebra does not.  Its names load on first
+# use (PEP 562), so the algebra and its CLI commands never import numpy.
+_FRACTAL_NAMES = frozenset({
+    "FractalConfig",
+    "MembershipGrid",
+    "escape_time",
+    "export_grid",
+    "iterate_first",
+    "iterate_second",
+    "render_grid",
+})
+
+
+def __getattr__(name):
+    if name in _FRACTAL_NAMES:
+        from . import fractal
+
+        return getattr(fractal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CartesianVec",

@@ -19,7 +19,7 @@ import random
 import re
 import sys
 
-from . import checks, extensions, fractal, relativity
+from . import checks, extensions, relativity
 from .core import (
     CartesianVec,
     DegenerateArgs,
@@ -292,6 +292,8 @@ def _cmd_relativity_check(args) -> int:
 
 
 def _cmd_fractal(args) -> int:
+    from . import fractal  # numpy loads only for renders
+
     cfg = fractal.FractalConfig(
         approach=args.approach,
         n_max=args.nmax,

@@ -13,11 +13,14 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
 Each approach has a single array step kernel.  The lattice render, the
 one-cell ``escape_time`` and the one-step ``iterate_*`` helpers all run it,
 so per-cell results are bitwise independent of grid shape, tiling and
-parallelism.
+parallelism.  The render steps only the cells still inside the radius-2
+disk, dropping each one once it escapes, so its cost follows the cell
+iterations actually run rather than cells x ``n_max``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -178,37 +181,41 @@ def _cell_axes(cfg: FractalConfig) -> list[np.ndarray]:
 
 
 def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
-    CX, CY, CZ = np.meshgrid(xs, ys, zs, indexing="ij")
+    # Flattened state of the still-active cells only; idx maps each back to
+    # its lattice cell, so escaped cells cost nothing after their last step.
+    CX, CY, CZ = (a.ravel() for a in np.meshgrid(xs, ys, zs, indexing="ij"))
     step = _STEPS[cfg.approach]
-    shape = CX.shape
-    X = np.zeros(shape)
-    Y = np.zeros(shape)
-    Z = np.zeros(shape)
-    counts = np.full(shape, cfg.n_max, dtype=np.int32)
-    active = np.ones(shape, dtype=bool)
+    counts = np.full(CX.size, cfg.n_max, dtype=np.int32)
+    idx = np.arange(CX.size)
+    X = Y = Z = np.zeros(CX.size)
     for n in range(1, cfg.n_max + 1):
-        XN, YN, ZN = step(X, Y, Z, CX, CY, CZ)
-        X = np.where(active, XN, X)
-        Y = np.where(active, YN, Y)
-        Z = np.where(active, ZN, Z)
-        # radius-2 escape test on squared moduli
-        escaped = active & ((X * X + Y * Y) + Z * Z > 4.0)
-        counts[escaped] = n
-        active &= ~escaped
-        if not active.any():
+        X, Y, Z = step(X, Y, Z, CX, CY, CZ)
+        # radius-2 escape test on squared moduli; a NaN state never passes
+        # it and so stays a member
+        escaped = (X * X + Y * Y) + Z * Z > 4.0
+        counts[idx[escaped]] = n
+        live = ~escaped
+        idx, X, Y, Z, CX, CY, CZ = (a[live] for a in (idx, X, Y, Z, CX, CY, CZ))
+        if not idx.size:
             break
-    return counts
+    return counts.reshape(len(xs), len(ys), len(zs))
+
+
+def _z_slabs(zs: np.ndarray, workers: int) -> list[np.ndarray]:
+    """Split the z-axis into one slab per worker, at most one per z-plane
+    and one per CPU."""
+    return np.array_split(zs, min(max(workers, 1), len(zs), os.cpu_count() or 1))
 
 
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
-    ``workers > 1`` splits the lattice into at most one z-slab per z-plane,
-    computed concurrently; each cell is independent, so the counts are
-    bitwise identical for any worker count.
+    ``workers > 1`` splits the lattice into z-slabs, at most one per z-plane
+    and one per CPU, computed concurrently; each cell is independent, so the
+    counts are bitwise identical for any worker count.
     """
     xs, ys, zs = _cell_axes(cfg)
-    slabs = np.array_split(zs, min(max(workers, 1), len(zs)))
+    slabs = _z_slabs(zs, workers)
     if len(slabs) == 1:
         # A single slab runs on the calling thread: a pool thread would get
         # its own malloc arena and raise peak memory for no parallelism.
@@ -263,15 +270,19 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
             for row in range(height - 1, -1, -1):  # top row = highest coordinate
                 fh.write(data[:, row].tobytes())
     elif fmt == "csv":
-        xs, ys, zs = _cell_axes(cfg)
+        # each centre is formatted once per axis, each escape suffix once per
+        # count (members -> -1); one write per z-plane bounds the memory
+        xs, ys, zs = ([f"{v:.9e}" for v in axis] for axis in _cell_axes(cfg))
+        tails = [f",{n}\n" for n in range(cfg.n_max)] + [",-1\n"]
         with open(destination, "w", encoding="ascii") as fh:
             fh.write("x,y,z,escape\n")
             for iz, zc in enumerate(zs):
-                for iy, yc in enumerate(ys):
-                    for ix, xc in enumerate(xs):
-                        n = int(grid.counts[ix, iy, iz])
-                        esc = -1 if n >= cfg.n_max else n
-                        fh.write(f"{xc:.9e},{yc:.9e},{zc:.9e},{esc}\n")
+                plane = grid.counts[:, :, iz].T.tolist()  # plane[iy][ix]
+                fh.write("".join(
+                    f"{xc},{yc},{zc}{tails[n]}"
+                    for yc, row in zip(ys, plane)
+                    for xc, n in zip(xs, row)
+                ))
     elif fmt == "voxel_raw":
         data = _byte_array(grid.counts, cfg.n_max)
         with open(destination, "wb") as fh:

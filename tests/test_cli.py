@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +158,28 @@ def test_relativity_check_seeded(capsys):
     code, out, _ = run(capsys, "relativity-check", "--trials", "4", "--seed", "1")
     assert code == 0
     assert len(out.splitlines()) == 5  # header + 4 rows
+
+
+def test_algebra_commands_do_not_import_numpy():
+    # a fresh interpreter, since this one has numpy loaded already
+    import hypercomplex
+
+    code = (
+        "import sys\n"
+        "from hypercomplex.cli import main\n"
+        "for argv in (['mul', '2,1,0.5', '3,0.5,0.2'],\n"
+        "             ['roots', '-m', '2', '--form', 'cartesian', '4,0,0'],\n"
+        "             ['relativity-check', '--trials', '2'],\n"
+        "             ['property-check', '--trials', '2']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_fractal_writes_pgm(capsys, tmp_path):

@@ -14,7 +14,8 @@ from hypercomplex import (
     iterate_second,
     render_grid,
 )
-from hypercomplex.fractal import axis_centers, escape_byte
+from hypercomplex import fractal
+from hypercomplex.fractal import _z_slabs, axis_centers, escape_byte
 
 ORIGIN = CartesianVec((0.0, 0.0, 0.0))
 
@@ -160,6 +161,52 @@ def test_second_approach_slice_survives_exact_axis_hit():
     assert render_grid(cfg).counts[0, 0, 0] == classical_escape(cx, cz, cfg.n_max)
 
 
+def _assert_plane_is_classical(approach, lo, hi, res, n_max=100):
+    """Render the plane an approach keeps exactly complex -- c_z = 0 for
+    ``first``, c_y = 0 (with y -> z) for ``second`` -- over [lo, hi]^2 and
+    compare every cell with the classical map."""
+    flat = (0.0, 0.0)
+    if approach == "first":
+        region, resolution = ((lo, hi), (lo, hi), flat), (res, res, 1)
+    else:
+        region, resolution = ((lo, hi), flat, (lo, hi)), (res, 1, res)
+    cfg = FractalConfig(approach=approach, n_max=n_max, region=region,
+                        resolution=resolution)
+    counts = render_grid(cfg).counts.reshape(res, res)
+    cs = axis_centers(lo, hi, res)
+    assert counts.tolist() == [[classical_escape(a, b, n_max) for b in cs] for a in cs]
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_member_heavy_zoom_plane_equals_classical_map(approach):
+    _assert_plane_is_classical(approach, -0.5, 0.5, 41)
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_box_outside_radius_two_escapes_on_first_step(approach):
+    # h_1 = c already lies outside the disk: the active set empties at n = 1
+    cfg = FractalConfig(approach=approach, region=((2.5, 6.0), (-3.0, 3.0), (-3.0, 3.0)),
+                        resolution=(7, 5, 3))
+    assert (render_grid(cfg).counts == 1).all()
+    _assert_plane_is_classical(approach, 2.5, 6.0, 9)
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_escape_test_is_strict_on_the_radius(approach):
+    # |h| = 2 exactly is not an escape: c = 2 leaves at n = 2, c = -2 never
+    for cx in (2.0, -2.0):
+        cfg = FractalConfig(approach=approach, region=((cx, cx), (0.0, 0.0), (0.0, 0.0)),
+                            resolution=(1, 1, 1))
+        assert render_grid(cfg).counts[0, 0, 0] == classical_escape(cx, 0.0, cfg.n_max)
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_n_max_one(approach):
+    cfg = FractalConfig(approach=approach, n_max=1, resolution=(7, 5, 3))
+    assert (render_grid(cfg).counts == 1).all()
+    _assert_plane_is_classical(approach, -2.0, 2.0, 9, n_max=1)
+
+
 def test_members_stay_inside_radius_two():
     for approach in ("first", "second"):
         cfg = FractalConfig(
@@ -198,9 +245,38 @@ def test_render_is_deterministic_across_worker_counts():
         assert np.array_equal(a.counts, b.counts)
 
 
+@pytest.mark.parametrize("workers, cpus, lengths", [
+    (0, 8, [6]),
+    (1, 8, [6]),
+    (3, 8, [2, 2, 2]),
+    (8, 4, [2, 2, 1, 1]),    # capped at the CPU count
+    (8, 16, [1] * 6),        # more workers than z-planes: one slab per plane
+    (8, None, [6]),          # CPU count unknown: one slab
+])
+def test_z_slabs_clamp(monkeypatch, workers, cpus, lengths):
+    monkeypatch.setattr(fractal.os, "cpu_count", lambda: cpus)
+    zs = axis_centers(-2.0, 2.0, 6)
+    slabs = _z_slabs(zs, workers)
+    assert [len(s) for s in slabs] == lengths
+    assert np.array_equal(np.concatenate(slabs), zs)
+
+
 def test_single_cell_grid_is_member():
     cfg = FractalConfig(region=((0.0, 0.0),) * 3, resolution=(1, 1, 1))
     assert render_grid(cfg).counts[0, 0, 0] == cfg.n_max
+
+
+def test_package_serves_fractal_names():
+    import hypercomplex
+
+    ns = {}
+    exec("from hypercomplex import *", ns)
+    for name in ("FractalConfig", "MembershipGrid", "escape_time", "export_grid",
+                 "iterate_first", "iterate_second", "render_grid"):
+        assert name in hypercomplex.__all__
+        assert ns[name] is getattr(fractal, name)
+    with pytest.raises(AttributeError):
+        hypercomplex.no_such_name
 
 
 # -- config validation -------------------------------------------------------------
@@ -277,6 +353,24 @@ def test_csv_rows(tmp_path):
     row = out.read_text().splitlines()[1]
     assert row.split(",")[-1] == "1"
     assert float(row.split(",")[0]) == 3.0
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 20])
+def test_csv_whole_file_matches_plain_rows(tmp_path, n_max):
+    cfg = FractalConfig(n_max=n_max, region=((-1.5, 1.0), (-1.2, 1.2), (-0.9, 0.3)),
+                        resolution=(7, 5, 3))
+    grid = render_grid(cfg)
+    out = tmp_path / "grid.csv"
+    export_grid(grid, "csv", out)
+    xs, ys, zs = (axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution))
+    want = ["x,y,z,escape"]
+    for iz, z in enumerate(zs):
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                n = int(grid.counts[ix, iy, iz])
+                esc = -1 if n == n_max else n
+                want.append(f"{x:.9e},{y:.9e},{z:.9e},{esc}")
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
 
 
 def test_voxel_raw_layout(tmp_path):
