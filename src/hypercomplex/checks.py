@@ -167,9 +167,9 @@ def _check_root_roundtrip(rng, trials):
         rs = ext.nth_roots(h, m)
         if dim == 3 and not m <= len(rs.roots) <= 2 * m * m:
             return False, f"3D root count {len(rs.roots)} outside [{m}, {2*m*m}]"
+        target = to_cartesian(h).components
         for root in rs.roots:
             back = to_cartesian(pow_int(root, m)).components
-            target = to_cartesian(h).components
             worst = max(worst, max(abs(p - t) for p, t in zip(back, target)))
     return worst <= 1e-8, f"max power-back gap {worst:.3e} (tol 1e-8)"
 

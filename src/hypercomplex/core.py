@@ -206,15 +206,19 @@ def to_cartesian(h: SphericalForm) -> CartesianVec:
     (``x_1`` takes the full cosine product and no sine.)  Total on every
     SphericalForm; the Euclidean norm of the result equals the modulus.
     """
-    args = h.args
-    n = h.dim
+    return CartesianVec(_cartesian(h.modulus, h.args))
+
+
+def _cartesian(r: float, args: Sequence[float]) -> tuple[float, ...]:
+    """The float work of :func:`to_cartesian`, on a bare modulus and tuple."""
+    n = len(args) + 1
     out = [0.0] * n
     cum = 1.0
     for k in range(n, 1, -1):
-        out[k - 1] = h.modulus * math.sin(args[k - 2]) * cum
+        out[k - 1] = r * math.sin(args[k - 2]) * cum
         cum *= math.cos(args[k - 2])
-    out[0] = h.modulus * cum
-    return CartesianVec(tuple(out))
+    out[0] = r * cum
+    return tuple(out)
 
 
 def to_spherical(
@@ -262,7 +266,12 @@ def canonicalize(h: SphericalForm) -> SphericalForm:
     which leaves every Cartesian component unchanged.  Finally the longitude
     is reduced mod 2*pi.  Idempotent.
     """
-    args = list(h.args)
+    return SphericalForm(h.modulus, _canonical_args(h.args))
+
+
+def _canonical_args(args: Sequence[float]) -> tuple[float, ...]:
+    """The float work of :func:`canonicalize`, on a bare argument tuple."""
+    args = list(args)
     for i in range(len(args) - 1, 0, -1):
         t = _wrap_pm_pi(args[i])
         if t > HALF_PI or t < -HALF_PI:
@@ -273,7 +282,7 @@ def canonicalize(h: SphericalForm) -> SphericalForm:
     if lon >= TAU:
         lon = 0.0
     args[0] = lon
-    return SphericalForm(h.modulus, tuple(args))
+    return tuple(args)
 
 
 def is_canonical(h: SphericalForm) -> bool:

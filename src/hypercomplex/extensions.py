@@ -20,11 +20,11 @@ from .core import (
     CartesianVec,
     DegenerateArgs,
     SphericalForm,
+    _canonical_args,
+    _cartesian,
     add,
     canonicalize,
     mul_cartesian,
-    pow_int,
-    to_cartesian,
 )
 
 __all__ = [
@@ -39,11 +39,20 @@ __all__ = [
     "distributivity_residual",
 ]
 
-# Every filtered root reproduces the input to well below this once raised
-# back; candidates that canonicalization turned into a reflection miss by
-# O(1) angles, so the cut is not delicate.
+# Both cuts compare points on the unit sphere, that is relative to |h| for
+# the power-back check and to |h|**(1/m) for the dedup, so they hold at any
+# scale.  Every filtered root reproduces the input to well below the check
+# tolerance once raised back; candidates that canonicalization turned into a
+# reflection miss by O(1), so the cut is not delicate.
 _ROOT_CHECK_TOL = 1e-8
 _ROOT_DEDUP_TOL = 1e-9
+# Dedup cells: a unit-sphere coordinate c lies in cell floor(c / _DEDUP_CELL).
+# A candidate probes every cell its box c +- _DEDUP_REACH overlaps; the reach
+# is twice the tolerance so that rounding in c +- reach cannot hide a kept
+# point within the tolerance.  Cells 1024 tolerances wide make a box
+# straddle an edge rarely, so most probes read one cell.
+_DEDUP_CELL = 1024 * _ROOT_DEDUP_TOL
+_DEDUP_REACH = 2 * _ROOT_DEDUP_TOL
 
 
 class ConjugateVariant(str, Enum):
@@ -103,8 +112,10 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     ``theta_k/m + 2*pi*j/m`` (``j = 0..m-1`` independently per argument),
     once for ``h`` itself and once for each single-index replicate form.
     Candidates are canonicalized, kept only if their m-th power lands back on
-    ``h``'s Cartesian point, and deduplicated by Cartesian position.
-    ``multiplicity_note`` counts the keepers before deduplication.
+    ``h``'s point, and deduplicated by Cartesian position in first-seen
+    order.  Both tests run on the unit sphere (the arguments alone), so the
+    result does not depend on the scale of ``h``.  ``multiplicity_note``
+    counts the keepers before deduplication.
 
     Roots of zero are defined as the single zero value.
     """
@@ -114,30 +125,40 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     if h.modulus == 0.0:
         return RootSet((SphericalForm(0.0, (0.0,) * (h.dim - 1)),), 1)
 
-    target = to_cartesian(h).components
+    target = _cartesian(1.0, h.args)
     forms = [h] + [replicate(h, k) for k in range(3, h.dim + 1)]
     r_root = h.modulus ** (1.0 / m)
-    step = TAU / m
+    offsets = [j * (TAU / m) for j in range(m)]
 
-    kept: list[tuple[SphericalForm, tuple[float, ...]]] = []
+    roots: list[SphericalForm] = []
+    cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
     survivors = 0
     for form in forms:
-        base = tuple(t / m for t in form.args)
-        for combo in itertools.product(range(m), repeat=h.dim - 1):
-            cand = canonicalize(
-                SphericalForm(r_root, tuple(b + j * step for b, j in zip(base, combo)))
-            )
-            back = to_cartesian(pow_int(cand, m)).components
+        per_arg = [[t / m + o for o in offsets] for t in form.args]
+        for raw in itertools.product(*per_arg):
+            args = _canonical_args(raw)
+            back = _cartesian(1.0, _canonical_args(tuple(m * t for t in args)))
             if not all(abs(p - t) <= _ROOT_CHECK_TOL for p, t in zip(back, target)):
                 continue
             survivors += 1
-            cart = to_cartesian(cand).components
-            if not any(
+            cart = _cartesian(1.0, args)
+            near = itertools.product(*(
+                range(
+                    math.floor((c - _DEDUP_REACH) / _DEDUP_CELL),
+                    math.floor((c + _DEDUP_REACH) / _DEDUP_CELL) + 1,
+                )
+                for c in cart
+            ))
+            if any(
                 all(abs(c - kc) <= _ROOT_DEDUP_TOL for c, kc in zip(cart, other))
-                for _, other in kept
+                for key in near
+                for other in cells.get(key, ())
             ):
-                kept.append((cand, cart))
-    return RootSet(tuple(root for root, _ in kept), survivors)
+                continue
+            key = tuple(math.floor(c / _DEDUP_CELL) for c in cart)
+            cells.setdefault(key, []).append(cart)
+            roots.append(SphericalForm(r_root, args))
+    return RootSet(tuple(roots), survivors)
 
 
 def replicate_products(

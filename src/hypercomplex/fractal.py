@@ -188,16 +188,19 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     counts = np.full(CX.size, cfg.n_max, dtype=np.int32)
     idx = np.arange(CX.size)
     X = Y = Z = np.zeros(CX.size)
-    for n in range(1, cfg.n_max + 1):
-        X, Y, Z = step(X, Y, Z, CX, CY, CZ)
-        # radius-2 escape test on squared moduli; a NaN state never passes
-        # it and so stays a member
-        escaped = (X * X + Y * Y) + Z * Z > 4.0
-        counts[idx[escaped]] = n
-        live = ~escaped
-        idx, X, Y, Z, CX, CY, CZ = (a[live] for a in (idx, X, Y, Z, CX, CY, CZ))
-        if not idx.size:
-            break
+    # a square past the float range is inf, which escapes; that is the
+    # answer, not a fault worth a warning
+    with np.errstate(over="ignore"):
+        for n in range(1, cfg.n_max + 1):
+            X, Y, Z = step(X, Y, Z, CX, CY, CZ)
+            # radius-2 escape test on squared moduli; a NaN state never
+            # passes it and so stays a member
+            escaped = (X * X + Y * Y) + Z * Z > 4.0
+            counts[idx[escaped]] = n
+            live = ~escaped
+            idx, X, Y, Z, CX, CY, CZ = (a[live] for a in (idx, X, Y, Z, CX, CY, CZ))
+            if not idx.size:
+                break
     return counts.reshape(len(xs), len(ys), len(zs))
 
 

@@ -1,9 +1,10 @@
 """Shared samplers and oracles for the test suite."""
 
+import itertools
 import math
 import random
 
-from hypercomplex import SphericalForm, to_cartesian
+from hypercomplex import SphericalForm, canonicalize, pow_int, replicate, to_cartesian
 
 TAU = 2.0 * math.pi
 
@@ -39,3 +40,38 @@ def max_gap(seq_a, seq_b) -> float:
 
 def angle_gap(a: float, b: float) -> float:
     return abs(math.remainder(a - b, TAU))
+
+
+def naive_nth_roots(h: SphericalForm, m: int):
+    """The root enumeration written plainly: public ``canonicalize``,
+    ``pow_int`` and ``to_cartesian`` on every candidate, the power-back check
+    and the Cartesian dedup on the unit sphere (tolerances 1e-8 and 1e-9),
+    and a linear first-seen scan over the kept roots.
+
+    Returns ``(roots, multiplicity_note)``."""
+    if h.modulus == 0.0:
+        return [SphericalForm(0.0, (0.0,) * (h.dim - 1))], 1
+
+    def unit_point(form):
+        return to_cartesian(SphericalForm(1.0, form.args)).components
+
+    target = unit_point(h)
+    r_root = h.modulus ** (1.0 / m)
+    kept, survivors = [], 0
+    for form in [h] + [replicate(h, k) for k in range(3, h.dim + 1)]:
+        for combo in itertools.product(range(m), repeat=h.dim - 1):
+            cand = canonicalize(SphericalForm(
+                r_root, tuple(t / m + j * (TAU / m) for t, j in zip(form.args, combo))))
+            back = unit_point(pow_int(cand, m))
+            if max_gap(back, target) > 1e-8:
+                continue
+            survivors += 1
+            point = unit_point(cand)
+            if not any(max_gap(point, other) <= 1e-9 for _, other in kept):
+                kept.append((cand, point))
+    return [root for root, _ in kept], survivors
+
+
+def float_bits(root: SphericalForm):
+    """Modulus and arguments as hex strings, so -0.0 and last bits count."""
+    return (root.modulus.hex(),) + tuple(a.hex() for a in root.args)

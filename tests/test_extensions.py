@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import TAU, max_gap, random_form, random_vec
+from conftest import TAU, float_bits, max_gap, naive_nth_roots, random_form, random_vec
 from hypercomplex import (
     CartesianVec,
     DegenerateLongitudeError,
@@ -22,6 +22,7 @@ from hypercomplex import (
     to_cartesian,
     to_spherical,
 )
+from hypercomplex.extensions import _DEDUP_CELL
 
 PI = math.pi
 
@@ -165,6 +166,81 @@ def test_roots_power_back_and_3d_count_bounds():
         for root in rs.roots:
             back = to_cartesian(pow_int(root, m)).components
             assert max_gap(back, target) <= 1e-8
+
+
+def assert_matches_naive_scan(h, m):
+    rs = nth_roots(h, m)
+    roots, survivors = naive_nth_roots(h, m)
+    assert [float_bits(r) for r in rs.roots] == [float_bits(r) for r in roots]
+    assert rs.multiplicity_note == survivors
+
+
+def test_roots_match_naive_scan_seeded():
+    rng = random.Random(5)
+    for dim in range(3, 8):
+        for m in range(1, 5):
+            assert_matches_naive_scan(random_form(rng, dim), m)
+    for _ in range(40):
+        dim, m = rng.choice((3, 4, 5)), rng.choice((1, 2, 3, 4))
+        assert_matches_naive_scan(random_form(rng, dim, lat_bound=PI / 2), m)
+
+
+_BOUNDARY_LONS = (0.0, -0.0, math.nextafter(TAU, 0.0), 0.9)
+_BOUNDARY_LATS = (PI / 2, -PI / 2, 0.0, -0.0, 0.7)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_roots_match_naive_scan_on_boundaries(dim, m):
+    for lon in _BOUNDARY_LONS:
+        for lat in _BOUNDARY_LATS:
+            assert_matches_naive_scan(SphericalForm(1.7, (lon,) + (lat,) * (dim - 2)), m)
+            assert_matches_naive_scan(SphericalForm(0.4, (lon, -0.0) + (lat,) * (dim - 3)), m)
+
+
+def test_roots_dedup_across_a_bucket_edge():
+    # at the pole, h and its replicate differ only in longitude (by pi), so
+    # their points are equal up to cos(pi/2) ~ 6e-17 with x and y of
+    # opposite signs: the pair straddles the bucket edge at 0
+    h = SphericalForm(1.0, (0.3, PI / 2))
+    a, b = (to_cartesian(canonicalize(f)).components for f in (h, replicate(h, 3)))
+    assert max_gap(a, b) <= 1e-9
+    assert [math.floor(c / _DEDUP_CELL) for c in a] != [math.floor(c / _DEDUP_CELL) for c in b]
+    rs = nth_roots(h, 1)
+    assert len(rs.roots) == 1 and rs.multiplicity_note == 2
+    assert_matches_naive_scan(h, 1)
+
+
+@pytest.mark.parametrize("s", (1e-30, 1e-12, 1e8, 1e100))
+def test_roots_are_scale_invariant(s):
+    # roots of s**m * h are s times the roots of h: same count, same
+    # argument tuples, moduli scaled by s (up to the rounding of the 1/m
+    # exponent in r**(1/m), a relative |ln r| * 2**-53 <= 8e-14)
+    rng = random.Random(8)
+    cases = [(SphericalForm(1.0, (0.3, 0.2)), 3)] + [
+        (random_form(rng, dim), m) for dim in (3, 4, 5) for m in (2, 3)
+    ]
+    for h, m in cases:
+        ref = nth_roots(h, m)
+        got = nth_roots(SphericalForm(s ** m * h.modulus, h.args), m)
+        assert len(got.roots) == len(ref.roots)
+        assert got.multiplicity_note == ref.multiplicity_note
+        for g, r in zip(got.roots, ref.roots):
+            assert g.args == r.args
+            assert g.modulus == pytest.approx(s * r.modulus, rel=1e-13)
+    assert len(nth_roots(SphericalForm(s ** 3, (0.3, 0.2)), 3).roots) == 9
+
+
+@pytest.mark.parametrize("r", (5e-324, 1e-310, 1.7976931348623157e308))
+def test_roots_at_subnormal_and_largest_moduli(r):
+    # the power of a root would underflow to a few bits or overflow; the
+    # roots are still the unit-modulus ones scaled by r**(1/m)
+    for m in (1, 2, 3):
+        unit = nth_roots(SphericalForm(1.0, (0.3, 0.2)), m)
+        rs = nth_roots(SphericalForm(r, (0.3, 0.2)), m)
+        assert [root.args for root in rs.roots] == [root.args for root in unit.roots]
+        assert all(root.modulus == r ** (1.0 / m) for root in rs.roots)
+        assert rs.multiplicity_note == unit.multiplicity_note
 
 
 # -- replicate products ----------------------------------------------------------------

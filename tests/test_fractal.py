@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ def test_escape_test_is_strict_on_the_radius(approach):
         cfg = FractalConfig(approach=approach, region=((cx, cx), (0.0, 0.0), (0.0, 0.0)),
                             resolution=(1, 1, 1))
         assert render_grid(cfg).counts[0, 0, 0] == classical_escape(cx, 0.0, cfg.n_max)
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_overflowing_squares_escape_without_warnings(approach):
+    # squares past the float range are inf, which escapes at n = 1; numpy's
+    # overflow warning must not leak out of the render loop
+    far = (1e160, 2e160)
+    cfg = FractalConfig(approach=approach, region=(far, far, far), resolution=(3, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert escape_time(CartesianVec((1e200, 0.0, 0.0)),
+                           FractalConfig(approach=approach)) == 1
+        assert (render_grid(cfg).counts == 1).all()
+        assert (render_grid(cfg, workers=2).counts == 1).all()
 
 
 @pytest.mark.parametrize("approach", ["first", "second"])
