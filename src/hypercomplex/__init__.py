@@ -2,47 +2,10 @@
 dimension N >= 2, plus an escape-time 3D fractal generator and a
 Minkowski-interval invariance check."""
 
-from .core import (
-    CartesianVec,
-    DegenerateArgs,
-    DegenerateLongitudeError,
-    PartialModuli,
-    SphericalForm,
-    add,
-    canonicalize,
-    divide,
-    equals_argumentwise,
-    equals_cartesian,
-    identity,
-    inverse,
-    is_canonical,
-    mul_cartesian,
-    mul_geometric,
-    partial_moduli,
-    pow_int,
-    promote,
-    to_cartesian,
-    to_spherical,
-)
-from .extensions import (
-    ConjugateVariant,
-    RootSet,
-    conjugate,
-    distributivity_residual,
-    j_squared,
-    nth_roots,
-    replicate,
-    replicate_products,
-    scalar_embed,
-)
-from .relativity import (
-    EventDelta,
-    SquareProjection,
-    doubled_latitude_quadrant,
-    interval_sq,
-    lorentz_boost,
-    square_and_project,
-)
+from . import core, extensions, relativity
+from .core import *
+from .extensions import *
+from .relativity import *
 
 __version__ = "0.1.0"
 
@@ -66,48 +29,11 @@ def __getattr__(name):
         return getattr(fractal, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
-    "CartesianVec",
-    "DegenerateArgs",
-    "DegenerateLongitudeError",
-    "PartialModuli",
-    "SphericalForm",
-    "add",
-    "canonicalize",
-    "divide",
-    "equals_argumentwise",
-    "equals_cartesian",
-    "identity",
-    "inverse",
-    "is_canonical",
-    "mul_cartesian",
-    "mul_geometric",
-    "partial_moduli",
-    "pow_int",
-    "promote",
-    "to_cartesian",
-    "to_spherical",
-    "ConjugateVariant",
-    "RootSet",
-    "conjugate",
-    "distributivity_residual",
-    "j_squared",
-    "nth_roots",
-    "replicate",
-    "replicate_products",
-    "scalar_embed",
-    "FractalConfig",
-    "MembershipGrid",
-    "escape_time",
-    "export_grid",
-    "iterate_first",
-    "iterate_second",
-    "render_grid",
-    "EventDelta",
-    "SquareProjection",
-    "doubled_latitude_quadrant",
-    "interval_sq",
-    "lorentz_boost",
-    "square_and_project",
+    *core.__all__,
+    *extensions.__all__,
+    *relativity.__all__,
+    *sorted(_FRACTAL_NAMES),
     "__version__",
 ]

@@ -7,7 +7,8 @@ prints 9 significant digits; ``--format json-lines`` carries full binary
 precision; ``--format csv`` adds a header row.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
-longitude, unwritable file), 2 usage error.
+longitude, a result modulus past the float range, unwritable file), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -175,36 +176,16 @@ def _cmd_add(args) -> int:
     return 0
 
 
-def _unary_spherical(args, value):
-    if args.form == "spherical":
-        return value
-    return to_spherical(value, _fallback_for(args, 0))
-
-
-def _emit_like_input(args, fmt, result: SphericalForm) -> None:
-    emit_value(result if args.form == "spherical" else to_cartesian(result), fmt)
-
-
-def _cmd_inv(args) -> int:
+def _cmd_spherical(args) -> int:
+    """Commands whose operands are geometric forms: cartesian operand i
+    converts with --fallback i, and results come back in the input's form."""
     fmt = _resolve_format(args)
-    h = _unary_spherical(args, _parse_value(args.values[0], args.form, args.dim))
-    _emit_like_input(args, fmt, inverse(h))
-    return 0
-
-
-def _cmd_div(args) -> int:
-    fmt = _resolve_format(args)
-    a = _unary_spherical(args, _parse_value(args.values[0], args.form, args.dim))
-    bv = _parse_value(args.values[1], args.form, args.dim)
-    b = bv if args.form == "spherical" else to_spherical(bv, _fallback_for(args, 1))
-    _emit_like_input(args, fmt, divide(a, b))
-    return 0
-
-
-def _cmd_pow(args) -> int:
-    fmt = _resolve_format(args)
-    h = _unary_spherical(args, _parse_value(args.values[0], args.form, args.dim))
-    _emit_like_input(args, fmt, pow_int(h, args.exponent))
+    operands = []
+    for i, values in enumerate(args.values):
+        h = _parse_value(values, args.form, args.dim)
+        operands.append(h if args.form == "spherical" else to_spherical(h, _fallback_for(args, i)))
+    for result in args.op(args, *operands):
+        emit_value(result if args.form == "spherical" else to_cartesian(result), fmt)
     return 0
 
 
@@ -217,22 +198,6 @@ def _cmd_convert(args) -> int:
         emit_value(to_cartesian(value), fmt)
     else:
         emit_value(to_spherical(value, _fallback_for(args, 0)), fmt)
-    return 0
-
-
-def _cmd_roots(args) -> int:
-    fmt = _resolve_format(args)
-    h = _unary_spherical(args, _parse_value(args.values[0], args.form, args.dim))
-    rs = extensions.nth_roots(h, args.degree)
-    for root in rs.roots:
-        _emit_like_input(args, fmt, root)
-    return 0
-
-
-def _cmd_conjugate(args) -> int:
-    fmt = _resolve_format(args)
-    h = _unary_spherical(args, _parse_value(args.values[0], args.form, args.dim))
-    _emit_like_input(args, fmt, extensions.conjugate(h, args.variant))
     return 0
 
 
@@ -337,23 +302,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def val_cmd(name, helptext, nvalues, fn):
+    def val_cmd(name, helptext, nvalues, fn=_cmd_spherical, op=None):
         p = sub.add_parser(name, parents=[value], help=helptext)
         p.add_argument("values", type=_floats, nargs=nvalues, metavar="VALUE")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, op=op)
         return p
 
     val_cmd("mul", "multiply two values", 2, _cmd_mul)
     val_cmd("add", "add two values", 2, _cmd_add)
-    val_cmd("inv", "multiplicative inverse", 1, _cmd_inv)
-    val_cmd("div", "divide two values", 2, _cmd_div)
-    p = val_cmd("pow", "integer power", 1, _cmd_pow)
+    val_cmd("inv", "multiplicative inverse", 1, op=lambda a, h: [inverse(h)])
+    val_cmd("div", "divide two values", 2, op=lambda a, x, y: [divide(x, y)])
+    p = val_cmd("pow", "integer power", 1, op=lambda a, h: [pow_int(h, a.exponent)])
     p.add_argument("--exponent", "-m", type=int, required=True)
     p = val_cmd("convert", "convert between forms", 1, _cmd_convert)
     p.add_argument("--to", choices=("spherical", "cartesian"), required=True)
-    p = val_cmd("roots", "all distinct m-th roots, one per line", 1, _cmd_roots)
+    p = val_cmd("roots", "all distinct m-th roots, one per line", 1,
+                op=lambda a, h: extensions.nth_roots(h, a.degree).roots)
     p.add_argument("--degree", "-m", type=int, required=True)
-    p = val_cmd("conjugate", "conjugate value", 1, _cmd_conjugate)
+    p = val_cmd("conjugate", "conjugate value", 1,
+                op=lambda a, h: [extensions.conjugate(h, a.variant)])
     p.add_argument("--variant", choices=("full", "second", "third"), default="full")
 
     p = sub.add_parser("property-check", parents=[common],
@@ -362,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=_cmd_property_check)
 
-    p = sub.add_parser("fractal", parents=[common], help="render an escape-time lattice")
+    p = sub.add_parser("fractal", help="render an escape-time lattice")
     p.add_argument("--approach", choices=("first", "second"), default="first")
     p.add_argument("--nmax", type=int, default=100)
     p.add_argument("--region", type=_region, default=((-2.0, 2.0),) * 3,

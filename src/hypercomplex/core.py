@@ -28,7 +28,6 @@ __all__ = [
     "SphericalForm",
     "CartesianVec",
     "DegenerateArgs",
-    "PartialModuli",
     "DegenerateLongitudeError",
     "identity",
     "promote",
@@ -156,17 +155,6 @@ class DegenerateArgs:
             raise ValueError("fallback longitudes must be finite")
 
 
-@dataclass(frozen=True)
-class PartialModuli:
-    """The nondecreasing chain ``r_n = sqrt(x_1^2 + ... + x_n^2)``."""
-
-    values: tuple[float, ...]
-
-    @property
-    def modulus(self) -> float:
-        return self.values[-1]
-
-
 def identity(dim: int) -> SphericalForm:
     """Multiplicative identity ``(1, 0, ..., 0)``."""
     if dim < 2:
@@ -186,8 +174,9 @@ def promote(h: SphericalForm, dim: int) -> SphericalForm:
     return SphericalForm(h.modulus, h.args + (0.0,) * (dim - h.dim))
 
 
-def partial_moduli(v: CartesianVec) -> PartialModuli:
-    """Running Euclidean norms of the leading components; last entry = |v|.
+def partial_moduli(v: CartesianVec) -> tuple[float, ...]:
+    """The nondecreasing chain ``r_n = sqrt(x_1^2 + ... + x_n^2)`` of running
+    Euclidean norms of the leading components; last entry = |v|.
 
     Accumulated with ``hypot`` so that finite components whose squares would
     overflow or underflow still give the finite, nonzero norm.
@@ -197,7 +186,7 @@ def partial_moduli(v: CartesianVec) -> PartialModuli:
     for c in v.components:
         r = math.hypot(r, c)
         out.append(r)
-    return PartialModuli(tuple(out))
+    return tuple(out)
 
 
 def to_cartesian(h: SphericalForm) -> CartesianVec:
@@ -236,7 +225,7 @@ def to_spherical(
     """
     comps = v.components
     n = v.dim
-    chain = partial_moduli(v).values
+    chain = partial_moduli(v)
     m = _leading_zeros(comps)
     fb = fallback.longitudes if fallback is not None else ()
     args = [0.0] * (n - 1)
@@ -355,8 +344,8 @@ def mul_cartesian(
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     n = a.dim
     ca, cb = a.components, b.components
-    ra = partial_moduli(a).values
-    rb = partial_moduli(b).values
+    ra = partial_moduli(a)
+    rb = partial_moduli(b)
 
     # the partial moduli are nondecreasing, so r_2 r'_2 is the smallest
     # denominator; testing the product also catches one that underflows
@@ -409,15 +398,18 @@ def pow_int(h: SphericalForm, m: int) -> SphericalForm:
     """Integer power ``(r**m, m*theta_2, ..., m*theta_N)``, canonicalized.
 
     ``m = 0`` gives the identity; negative ``m`` needs a nonzero modulus.
+    A power past the float range raises ``ValueError``.
     """
     m = int(m)
     if m == 0:
         return identity(h.dim)
     if m < 0 and h.modulus == 0.0:
         raise ZeroDivisionError("cannot raise zero modulus to a negative power")
-    return canonicalize(
-        SphericalForm(h.modulus ** m, tuple(m * t for t in h.args))
-    )
+    try:
+        r = h.modulus ** m
+    except OverflowError:
+        raise ValueError(f"modulus {h.modulus!r} ** {m} overflows") from None
+    return canonicalize(SphericalForm(r, tuple(m * t for t in h.args)))
 
 
 def equals_cartesian(a: SphericalForm, b: SphericalForm, tol: float) -> bool:

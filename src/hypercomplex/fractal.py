@@ -242,9 +242,8 @@ def escape_byte(n: int, n_max: int) -> int:
 
 
 def _byte_array(counts: np.ndarray, n_max: int) -> np.ndarray:
-    if n_max == 1:
-        return np.zeros(counts.shape, dtype=np.uint8)  # every cell is a member
-    scaled = 1 + (254 * (counts - 1)) // (n_max - 1)
+    # at n_max == 1 every count is 1, a member, so the divisor never matters
+    scaled = 1 + (254 * (counts - 1)) // max(n_max - 1, 1)
     return np.where(counts >= n_max, 0, scaled).astype(np.uint8)
 
 

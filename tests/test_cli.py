@@ -6,8 +6,17 @@ import sys
 
 import pytest
 
-from hypercomplex import SphericalForm, inverse, mul_geometric, to_cartesian, to_spherical
-from hypercomplex import CartesianVec
+from hypercomplex import (
+    CartesianVec,
+    DegenerateArgs,
+    SphericalForm,
+    divide,
+    inverse,
+    mul_geometric,
+    nth_roots,
+    to_cartesian,
+    to_spherical,
+)
 from hypercomplex.cli import emit_value, main
 
 
@@ -126,11 +135,21 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "longitude" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_pow_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "pow", "-m", "2", "1e200,0.1,0.2")
+    assert code == 1 and out == ""
+    assert err == "error: modulus 1e+200 ** 2 overflows\n"
+
+
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mul", "1,0,0")[0] == 2           # missing second value
     assert run(capsys, "inv", "not,a,number")[0] == 2
     assert run(capsys, "inv", "--dim", "4", "1,0,0")[0] == 1
+    # output formats belong to the value and report commands, not to renders
+    out_path = tmp_path / "x.csv"
+    assert run(capsys, "fractal", "--format", "csv", "--res", "2,2,2", "--out", str(out_path))[0] == 2
+    assert not out_path.exists()
 
 
 def test_property_check_deterministic(capsys):
@@ -219,4 +238,36 @@ def test_cartesian_emit_matches_direct_conversion(capsys):
     code, out, _ = run(capsys, "convert", "--form", "spherical", "--to", "cartesian", "2,0.7,0.1")
     assert code == 0
     emit_value(to_cartesian(SphericalForm(2, (0.7, 0.1))), "text")
+    assert capsys.readouterr().out == out
+
+
+def _library_text(*values):
+    for v in values:
+        emit_value(v, "text")
+
+
+def test_cartesian_operands_take_their_own_fallbacks(capsys):
+    # --fallback i belongs to operand i: only the degenerate divisor reads it
+    argv = ["div", "--form", "cartesian", "--fallback", "0.3", "--fallback", "0.5", "1,1,1", "0,0,2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    a = to_spherical(CartesianVec((1, 1, 1)), DegenerateArgs((0.3,)))
+    b = to_spherical(CartesianVec((0, 0, 2)), DegenerateArgs((0.5,)))
+    _library_text(to_cartesian(divide(a, b)))
+    assert capsys.readouterr().out == out
+    argv[4], argv[6] = argv[6], argv[4]
+    code, swapped, _ = run(capsys, *argv)
+    assert code == 0 and swapped != out
+
+
+def test_unary_commands_read_the_fallback_of_a_degenerate_operand(capsys):
+    h = to_spherical(CartesianVec((0, 0, 4)), DegenerateArgs((0.7,)))
+    code, out, _ = run(capsys, "roots", "-m", "2", "--form", "cartesian", "--fallback", "0.7", "0,0,4")
+    assert code == 0
+    _library_text(*(to_cartesian(root) for root in nth_roots(h, 2).roots))
+    assert capsys.readouterr().out == out
+    assert run(capsys, "roots", "-m", "2", "--form", "cartesian", "0,0,4")[1] != out
+    code, out, _ = run(capsys, "inv", "--form", "cartesian", "--fallback", "0.7", "0,0,4")
+    assert code == 0
+    _library_text(to_cartesian(inverse(h)))
     assert capsys.readouterr().out == out

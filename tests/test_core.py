@@ -371,20 +371,27 @@ def test_pow_int():
         pow_int(SphericalForm(0.0, (0.0, 0.0)), -2)
 
 
+@pytest.mark.parametrize("r, m", [(1e200, 2), (1e-200, -3)])
+def test_pow_int_overflow_is_a_value_error(r, m):
+    # r**m past the float range is a domain error, like an infinite product
+    with pytest.raises(ValueError, match="overflows"):
+        pow_int(SphericalForm(r, (0.1, 0.2)), m)
+
+
 # -- partial moduli --------------------------------------------------------------------
 
 def test_partial_moduli_values():
     got = partial_moduli(CartesianVec((1.0, 1.0, 1.0)))
-    assert max_gap(got.values, (1.0, math.sqrt(2), math.sqrt(3))) < 1e-15
-    assert partial_moduli(CartesianVec((0.0, 0.0, 5.0))).values == (0.0, 0.0, 5.0)
-    assert partial_moduli(CartesianVec((3.0, 4.0))).values == (3.0, 5.0)
+    assert max_gap(got, (1.0, math.sqrt(2), math.sqrt(3))) < 1e-15
+    assert partial_moduli(CartesianVec((0.0, 0.0, 5.0))) == (0.0, 0.0, 5.0)
+    assert partial_moduli(CartesianVec((3.0, 4.0))) == (3.0, 5.0)
 
 
 def test_partial_moduli_nondecreasing_and_match_norm():
     rng = random.Random(41)
     for _ in range(200):
         v = random_vec(rng, rng.choice((3, 4, 7)))
-        chain = partial_moduli(v).values
+        chain = partial_moduli(v)
         assert all(a <= b for a, b in zip(chain, chain[1:]))
         assert abs(chain[-1] - v.norm()) <= 1e-12 * chain[-1]
 
@@ -409,3 +416,27 @@ def test_equals_cartesian_distinct_points():
     assert not equals_cartesian(
         SphericalForm(1.0, (0.0, 0.0)), SphericalForm(1.0, (0.0, PI / 2)), 1e-6
     )
+
+
+# -- public surface ----------------------------------------------------------------------
+
+def test_package_public_names():
+    import hypercomplex
+
+    names = [
+        "CartesianVec", "DegenerateArgs", "DegenerateLongitudeError", "SphericalForm",
+        "add", "canonicalize", "divide", "equals_argumentwise", "equals_cartesian",
+        "identity", "inverse", "is_canonical", "mul_cartesian", "mul_geometric",
+        "partial_moduli", "pow_int", "promote", "to_cartesian", "to_spherical",
+        "ConjugateVariant", "RootSet", "conjugate", "distributivity_residual",
+        "j_squared", "nth_roots", "replicate", "replicate_products", "scalar_embed",
+        "EventDelta", "SquareProjection", "doubled_latitude_quadrant", "interval_sq",
+        "lorentz_boost", "square_and_project",
+        "FractalConfig", "MembershipGrid", "escape_time", "export_grid",
+        "iterate_first", "iterate_second", "render_grid",
+        "__version__",
+    ]
+    assert len(names) == 42
+    assert len(hypercomplex.__all__) == len(set(hypercomplex.__all__))
+    assert set(hypercomplex.__all__) == set(names)
+    assert all(hasattr(hypercomplex, name) for name in names)

@@ -341,18 +341,20 @@ def test_pgm_requires_slice(tmp_path):
 
 def test_pgm_orientation_top_row_is_high_coordinate(tmp_path):
     # member at the high-y cell only; the top PGM row must carry the 0 byte
-    cfg = FractalConfig(
-        region=((0.0, 0.0), (-2.2, 2.2), (0.0, 0.0)),
-        resolution=(1, 2, 1),
-        n_max=25,
-        slice_spec=("z", 0.0),
-    )
-    grid = render_grid(cfg)
-    low_y, high_y = int(grid.counts[0, 0, 0]), int(grid.counts[0, 1, 0])
-    out = tmp_path / "o.pgm"
-    export_grid(grid, "pgm_slice", out)
-    payload = out.read_bytes().split(b"255\n", 1)[1]
-    assert payload == bytes([escape_byte(high_y, 25), escape_byte(low_y, 25)])
+    # (n_max 1 and 2 are the smallest byte scales: all members, and 1 or 0)
+    for n_max in (1, 2, 25):
+        cfg = FractalConfig(
+            region=((0.0, 0.0), (-2.2, 2.2), (0.0, 0.0)),
+            resolution=(1, 2, 1),
+            n_max=n_max,
+            slice_spec=("z", 0.0),
+        )
+        grid = render_grid(cfg)
+        low_y, high_y = int(grid.counts[0, 0, 0]), int(grid.counts[0, 1, 0])
+        out = tmp_path / "o.pgm"
+        export_grid(grid, "pgm_slice", out)
+        payload = out.read_bytes().split(b"255\n", 1)[1]
+        assert payload == bytes([escape_byte(high_y, n_max), escape_byte(low_y, n_max)])
 
 
 def test_csv_rows(tmp_path):
@@ -389,19 +391,20 @@ def test_csv_whole_file_matches_plain_rows(tmp_path, n_max):
 
 
 def test_voxel_raw_layout(tmp_path):
-    cfg = FractalConfig(n_max=20, resolution=(3, 2, 2))
-    grid = render_grid(cfg)
-    out = tmp_path / "vol.raw"
-    export_grid(grid, "voxel_raw", out)
-    data = out.read_bytes()
-    assert len(data) == 3 * 2 * 2
-    for iz in range(2):
-        for iy in range(2):
-            for ix in range(3):
-                want = escape_byte(int(grid.counts[ix, iy, iz]), cfg.n_max)
-                assert data[ix + 3 * iy + 6 * iz] == want
-    meta = (tmp_path / "vol.raw.meta").read_text()
-    assert "n_max=20" in meta and "approach=first" in meta
+    for n_max in (1, 2, 20):
+        cfg = FractalConfig(n_max=n_max, resolution=(3, 2, 2))
+        grid = render_grid(cfg)
+        out = tmp_path / "vol.raw"
+        export_grid(grid, "voxel_raw", out)
+        data = out.read_bytes()
+        assert len(data) == 3 * 2 * 2
+        for iz in range(2):
+            for iy in range(2):
+                for ix in range(3):
+                    want = escape_byte(int(grid.counts[ix, iy, iz]), cfg.n_max)
+                    assert data[ix + 3 * iy + 6 * iz] == want
+        meta = (tmp_path / "vol.raw.meta").read_text()
+        assert f"n_max={n_max}" in meta and "approach=first" in meta
 
 
 def test_unknown_export_format(tmp_path):
