@@ -165,8 +165,8 @@ def _check_root_roundtrip(rng, trials):
         m = rng.choice((2, 3, 4))
         h = canonicalize(_rand_form(rng, dim))
         rs = ext.nth_roots(h, m)
-        if dim == 3 and not m <= len(rs.roots) <= 2 * m * m:
-            return False, f"3D root count {len(rs.roots)} outside [{m}, {2*m*m}]"
+        if dim == 3 and len(rs.roots) != m * m:
+            return False, f"3D root count {len(rs.roots)} != {m * m}"
         target = to_cartesian(h).components
         for root in rs.roots:
             back = to_cartesian(pow_int(root, m)).components

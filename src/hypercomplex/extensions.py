@@ -16,14 +16,17 @@ from enum import Enum
 from typing import Optional
 
 from .core import (
+    HALF_PI,
     TAU,
     CartesianVec,
     DegenerateArgs,
     SphericalForm,
     _canonical_args,
     _cartesian,
+    _wrap_pm_pi,
     add,
     canonicalize,
+    is_canonical,
     mul_cartesian,
 )
 
@@ -42,8 +45,8 @@ __all__ = [
 # Both cuts compare points on the unit sphere, that is relative to |h| for
 # the power-back check and to |h|**(1/m) for the dedup, so they hold at any
 # scale.  Every filtered root reproduces the input to well below the check
-# tolerance once raised back; candidates that canonicalization turned into a
-# reflection miss by O(1), so the cut is not delicate.
+# tolerance once raised back; under even m, a candidate that canonicalization
+# folded at latitude k lands on the input's point with x_k negated.
 _ROOT_CHECK_TOL = 1e-8
 _ROOT_DEDUP_TOL = 1e-9
 # Dedup cells: a unit-sphere coordinate c lies in cell floor(c / _DEDUP_CELL).
@@ -63,7 +66,11 @@ class ConjugateVariant(str, Enum):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Deduplicated m-th roots plus how many candidates survived pre-dedup."""
+    """Deduplicated m-th roots plus how many candidates survived pre-dedup.
+
+    On generic inputs the note is ``(N-1) * m**(N-1)`` for odd ``m`` (every
+    replicate family repeats the roots) and the root count for even ``m``.
+    """
 
     roots: tuple[SphericalForm, ...]
     multiplicity_note: int
@@ -108,14 +115,23 @@ def replicate(h: SphericalForm, k: int) -> SphericalForm:
 def nth_roots(h: SphericalForm, m: int) -> RootSet:
     """All distinct m-th roots reachable from ``h`` and its replicates.
 
-    Enumerates ``r' = r**(1/m)`` with every argument combination
+    The candidates are ``r' = r**(1/m)`` with every argument combination
     ``theta_k/m + 2*pi*j/m`` (``j = 0..m-1`` independently per argument),
-    once for ``h`` itself and once for each single-index replicate form.
-    Candidates are canonicalized, kept only if their m-th power lands back on
-    ``h``'s point, and deduplicated by Cartesian position in first-seen
-    order.  Both tests run on the unit sphere (the arguments alone), so the
-    result does not depend on the scale of ``h``.  ``multiplicity_note``
-    counts the keepers before deduplication.
+    once for ``h`` itself and once for each single-index replicate form.  A
+    candidate is a root if its m-th power lands back on ``h``'s point; roots
+    are deduplicated by Cartesian position in first-seen order, and
+    ``multiplicity_note`` counts them before deduplication.  Both tests run
+    on the unit sphere (the arguments alone), so the result does not depend
+    on the scale of ``h``.
+
+    Generic canonical inputs (see :func:`_generic_families`) are built
+    directly from the replicate structure.  For odd ``m`` every candidate is
+    a root and each replicate family repeats the points of ``h``'s own, so
+    there are ``m**(N-1)`` roots and ``(N-1) * m**(N-1)`` candidates survive.
+    For even ``m`` a candidate is a root exactly when canonicalization folds
+    none of its latitudes, and all of those are distinct: ``(N-1) *
+    m**(N-1) / 2**(N-2)`` roots.  Both give ``m**2`` in 3D.  Every other
+    input takes the filtered enumeration; the two agree bit for bit.
 
     Roots of zero are defined as the single zero value.
     """
@@ -125,16 +141,26 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     if h.modulus == 0.0:
         return RootSet((SphericalForm(0.0, (0.0,) * (h.dim - 1)),), 1)
 
-    target = _cartesian(1.0, h.args)
     forms = [h] + [replicate(h, k) for k in range(3, h.dim + 1)]
     r_root = h.modulus ** (1.0 / m)
     offsets = [j * (TAU / m) for j in range(m)]
+    families = [[[t / m + o for o in offsets] for t in form.args] for form in forms]
 
+    generic = _generic_families(h, m, families)
+    if generic is not None:
+        roots = tuple(
+            SphericalForm(r_root, _canonical_args(raw))
+            for per_arg in generic
+            for raw in itertools.product(*per_arg)
+        )
+        note = len(forms) * m ** (h.dim - 1) if m % 2 else len(roots)
+        return RootSet(roots, note)
+
+    target = _cartesian(1.0, h.args)
     roots: list[SphericalForm] = []
     cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
     survivors = 0
-    for form in forms:
-        per_arg = [[t / m + o for o in offsets] for t in form.args]
+    for per_arg in families:
         for raw in itertools.product(*per_arg):
             args = _canonical_args(raw)
             back = _cartesian(1.0, _canonical_args(tuple(m * t for t in args)))
@@ -159,6 +185,66 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
             cells.setdefault(key, []).append(cart)
             roots.append(SphericalForm(r_root, args))
     return RootSet(tuple(roots), survivors)
+
+
+def _generic_families(
+    h: SphericalForm, m: int, families: list[list[list[float]]]
+) -> Optional[list[list[list[float]]]]:
+    """The per-argument candidate lists whose product is exactly the root
+    set, or ``None`` when ``h`` is too close to a degenerate case for the
+    enumeration's two cuts to be decided by structure alone.
+
+    A candidate's canonical tuple is its raw tuple with one replicate move
+    (``t_k -> pi - t_k``, ``t_{k-1} -> t_{k-1} + pi``) per folded latitude,
+    and raising it to the m-th power multiplies those moves by ``m``.  For
+    odd ``m`` they stay replicate moves, so every candidate powers back onto
+    ``h``'s point.  For even ``m`` the pi shifts vanish and a fold at
+    latitude ``k`` negates ``x_k`` of the target instead: a power-back gap
+    of ``2|x_k|``.
+
+    Canonicalization moves nothing when no latitude folds, and a latitude
+    folds exactly when its own wrapped value leaves [-pi/2, pi/2], so even
+    ``m`` filters each latitude list on its own.  For odd ``m`` family ``k``
+    holds the replicates of family 0's candidates, so family 0 alone gives
+    every point once.
+
+    The guard keeps both cuts away from their tolerances:
+
+    * ``h`` is canonical, so every argument is O(1) and the rounding in a
+      candidate's power stays orders of magnitude inside the power-back cut;
+    * for even ``m``, every latitude component of the unit target has
+      ``|x_k| > _ROOT_CHECK_TOL``, so a folded candidate misses by more than
+      twice the tolerance;
+    * two distinct roots differ by at least ``pi/m`` in some argument: their
+      powers differ by pi in one component (another family or fold
+      pattern), or their candidates by a multiple of ``2*pi/m``.  Peeling
+      the latitudes off from the top then bounds their chord below by
+      ``2 * r2 * sin(pi/(2m))``, where ``r2`` multiplies the smallest
+      ``|cos|`` of each root latitude list.  The check holds that chord
+      above ``2 * sqrt(N)`` dedup tolerances, so the largest component gap
+      is more than twice the tolerance.
+    """
+    if not is_canonical(h):
+        return None
+    if m % 2:
+        generic = families[:1]
+    else:
+        if any(abs(x) <= _ROOT_CHECK_TOL for x in _cartesian(1.0, h.args)[2:]):
+            return None
+        generic = [
+            [per_arg[0]] + [
+                [t for t in lats if -HALF_PI <= _wrap_pm_pi(t) <= HALF_PI]
+                for lats in per_arg[1:]
+            ]
+            for per_arg in families
+        ]
+    r2 = math.prod(
+        min(abs(math.cos(t)) for per_arg in generic for t in per_arg[k])
+        for k in range(1, h.dim - 1)
+    )
+    if r2 * math.sin(math.pi / (2 * m)) <= math.sqrt(h.dim) * _ROOT_DEDUP_TOL:
+        return None
+    return generic
 
 
 def replicate_products(

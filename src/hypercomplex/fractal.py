@@ -157,18 +157,31 @@ def _iterate(step, state: CartesianVec, c: CartesianVec) -> CartesianVec:
 
 
 def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One Cartesian-formula step of ``h -> h**2 + c`` (3D)."""
+    """One Cartesian-formula step of ``h -> h**2 + c`` (3D).
+
+    Runs the array kernel on one cell, so every call pays numpy's per-call
+    overhead; a loop over many points should render them as a lattice with
+    :func:`render_grid` instead.
+    """
     return _iterate(_step_first, state, c)
 
 
 def iterate_second(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One doubled-angle step of ``h -> h**2 + c`` (3D)."""
+    """One doubled-angle step of ``h -> h**2 + c`` (3D).
+
+    Runs the array kernel on one cell, with numpy's per-call overhead; see
+    :func:`iterate_first`.
+    """
     return _iterate(_step_second, state, c)
 
 
 def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
     """First n in [1, n_max] with |h_n| > 2, else n_max (member): the
-    lattice render of a single cell at ``c``."""
+    lattice render of a single cell at ``c``.
+
+    Every iteration pays numpy's per-call overhead on a one-cell array, so
+    a loop over many points should use :func:`render_grid` on a lattice.
+    """
     _require3(c)
     return int(_render_block(cfg, *([v] for v in c.components))[0, 0, 0])
 

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 
-from hypercomplex import SphericalForm, canonicalize, pow_int, replicate, to_cartesian
+from hypercomplex import SphericalForm, canonicalize, nth_roots, pow_int, replicate, to_cartesian
 
 TAU = 2.0 * math.pi
 
@@ -75,3 +75,12 @@ def naive_nth_roots(h: SphericalForm, m: int):
 def float_bits(root: SphericalForm):
     """Modulus and arguments as hex strings, so -0.0 and last bits count."""
     return (root.modulus.hex(),) + tuple(a.hex() for a in root.args)
+
+
+def assert_matches_naive_scan(h: SphericalForm, m: int) -> None:
+    """``nth_roots`` equals the naive oracle: same bits, order and note."""
+    rs = nth_roots(h, m)
+    roots, survivors = naive_nth_roots(h, m)
+    assert [float_bits(r) for r in rs.roots] == [float_bits(r) for r in roots]
+    assert rs.multiplicity_note == survivors
+    assert rs.roots

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import TAU, float_bits, max_gap, naive_nth_roots, random_form, random_vec
+from conftest import TAU, assert_matches_naive_scan, max_gap, random_form, random_vec
 from hypercomplex import (
     CartesianVec,
     DegenerateLongitudeError,
@@ -22,6 +22,7 @@ from hypercomplex import (
     to_cartesian,
     to_spherical,
 )
+from hypercomplex import extensions
 from hypercomplex.extensions import _DEDUP_CELL
 
 PI = math.pi
@@ -160,19 +161,16 @@ def test_roots_power_back_and_3d_count_bounds():
         m = rng.choice((2, 3, 4))
         h = canonicalize(random_form(rng, dim))
         rs = nth_roots(h, m)
-        if dim == 3:
-            assert m <= len(rs.roots) <= 2 * m * m
+        # generic inputs: m**2 roots in 3D; in 4D, m**3 for odd m and the
+        # 3 * m**3 / 4 unfolded candidates for even m.  Odd m counts every
+        # replicate family's copy of each root, even m finds no duplicates.
+        count = m * m if dim == 3 else (m ** 3 if m % 2 else 3 * m ** 3 // 4)
+        assert len(rs.roots) == count
+        assert rs.multiplicity_note == ((dim - 1) * count if m % 2 else count)
         target = to_cartesian(h).components
         for root in rs.roots:
             back = to_cartesian(pow_int(root, m)).components
             assert max_gap(back, target) <= 1e-8
-
-
-def assert_matches_naive_scan(h, m):
-    rs = nth_roots(h, m)
-    roots, survivors = naive_nth_roots(h, m)
-    assert [float_bits(r) for r in rs.roots] == [float_bits(r) for r in roots]
-    assert rs.multiplicity_note == survivors
 
 
 def test_roots_match_naive_scan_seeded():
@@ -241,6 +239,140 @@ def test_roots_at_subnormal_and_largest_moduli(r):
         assert [root.args for root in rs.roots] == [root.args for root in unit.roots]
         assert all(root.modulus == r ** (1.0 / m) for root in rs.roots)
         assert rs.multiplicity_note == unit.multiplicity_note
+
+
+# -- roots by construction: the edges of the closed-form guard -----------------------
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Records nth_roots' calls to ``_canonical_args``: one per root on the
+    closed-form path, two per candidate on the filtered enumeration."""
+    calls = []
+    real = extensions._canonical_args
+
+    def counted(args):
+        calls.append(args)
+        return real(args)
+
+    monkeypatch.setattr(extensions, "_canonical_args", counted)
+    return calls
+
+
+def built_directly(h, m, calls):
+    calls.clear()
+    return len(nth_roots(h, m).roots) == len(calls)
+
+
+def test_generic_roots_skip_the_filter(canonical_calls):
+    h = random_form(random.Random(13), 6)
+    nth_roots(h, 3)
+    assert len(canonical_calls) == 3 ** 5
+    canonical_calls.clear()
+    nth_roots(SphericalForm(h.modulus, (h.args[0] + TAU,) + h.args[1:]), 3)
+    assert len(canonical_calls) == 2 * 5 * 3 ** 5
+
+
+def guard_edge(make, m, lo, hi, calls):
+    """Adjacent floats ``x < y`` in ``[lo, hi]`` where ``nth_roots(make(.), m)``
+    switches between its two paths, found by bisection."""
+    low_side = built_directly(make(lo), m, calls)
+    assert built_directly(make(hi), m, calls) != low_side
+    while math.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        if built_directly(make(mid), m, calls) == low_side:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+_GUARD_EDGES = {
+    # |x_3| of the unit target crosses the power-back tolerance: a folded
+    # square root misses by 2|x_3|
+    "x3-3d-m2": (lambda t: SphericalForm(1.7, (0.7, t)), 2, 1e-9, 1e-7),
+    # x_3 = sin(-0.5) cos(theta_4) shrinks as theta_4 nears the pole
+    "x3-under-pole-4d-m2": (lambda d: SphericalForm(0.6, (2.0, -0.5, PI / 2 - d)), 2, 1e-9, 1e-6),
+    # a candidate latitude -t/4 + pi/2 nears the pole as x_4 shrinks
+    "x4-4d-m4": (lambda t: SphericalForm(0.6, (2.0, 0.4, -t)), 4, 1e-9, 1e-5),
+    # the cube-root candidate theta/3 + 2pi/3 nears pi/2: r2 -> 0
+    "candidate-pole-3d-m3": (lambda e: SphericalForm(1.0, (0.4, -PI / 2 + e)), 3, 1e-12, 1e-5),
+    "candidate-pole-4d-m1": (lambda d: SphericalForm(1.0, (0.4, 0.3, PI / 2 - d)), 1, 1e-12, 1e-6),
+    "pole-adjacent-5d-m3": (
+        lambda d: SphericalForm(1.3, (0.9,) + (PI / 2 - d,) * 3), 3, 1e-4, 1e-1),
+    "pole-adjacent-6d-m2": (
+        lambda d: SphericalForm(1.3, (0.9,) + (PI / 2 - d,) * 4), 2, 1e-3, 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_EDGES))
+def test_roots_match_naive_scan_on_either_side_of_the_guard(name, canonical_calls):
+    make, m, lo, hi = _GUARD_EDGES[name]
+    for x in guard_edge(make, m, lo, hi, canonical_calls):
+        assert_matches_naive_scan(make(x), m)
+
+
+def test_pole_adjacent_square_roots_keep_the_folded_candidates(canonical_calls):
+    # x_3 = cos(d) sin(d)**3 ~ 1.3e-9: the folded candidates power back
+    # within 1e-8, so there are twice the closed form's 10 roots
+    h = SphericalForm(1.3, (0.9,) + (PI / 2 - 1.1e-3,) * 4)
+    assert not built_directly(h, 2, canonical_calls)
+    rs = nth_roots(h, 2)
+    assert len(rs.roots) == 20 and rs.multiplicity_note == 20
+    assert_matches_naive_scan(h, 2)
+
+
+@pytest.mark.parametrize("x3", (4.9e-9, 5e-9, 5.1e-9, 2e-8))
+def test_square_roots_around_the_power_back_cut(x3, canonical_calls):
+    # 2|x_3| below 1e-8 lets the folded candidates through; the closed form
+    # takes over only once |x_3| is a whole tolerance past that
+    h = SphericalForm(1.7, (0.7, math.asin(x3)))
+    assert built_directly(h, 2, canonical_calls) == (x3 > 1e-8)
+    assert_matches_naive_scan(h, 2)
+
+
+_ONE_ULP_OUTSIDE = (
+    ((math.nextafter(TAU, 0.0), 0.4), (TAU, 0.4)),
+    ((0.0, 0.4), (-5e-324, 0.4)),
+    ((1.1, PI / 2), (1.1, math.nextafter(PI / 2, 4.0))),
+    ((1.1, -PI / 2), (1.1, math.nextafter(-PI / 2, -4.0))),
+)
+
+
+@pytest.mark.parametrize("inside, outside", _ONE_ULP_OUTSIDE)
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("dim", (3, 4))
+def test_roots_one_ulp_outside_canonical(inside, outside, m, dim, canonical_calls):
+    mid = (0.3,) * (dim - 3)
+    for args in (inside, outside):
+        assert_matches_naive_scan(SphericalForm(0.8, args[:1] + mid + args[1:]), m)
+    assert not built_directly(SphericalForm(0.8, outside[:1] + mid + outside[1:]), m,
+                              canonical_calls)
+
+
+def latitude_with_candidate(c, m, j):
+    """A latitude ``t`` whose root candidate ``t/m + j*(2pi/m)`` is exactly ``c``."""
+    t = (c - j * (TAU / m)) * m
+    for _ in range(64):
+        got = t / m + j * (TAU / m)
+        if got == c:
+            return t
+        t = math.nextafter(t, math.inf if got < c else -math.inf)
+    raise AssertionError(f"no latitude gives candidate {c!r} for m={m}, j={j}")
+
+
+_HALF_PI = PI / 2
+_UP, _DOWN = math.nextafter(_HALF_PI, 4.0), math.nextafter(_HALF_PI, 0.0)
+
+
+@pytest.mark.parametrize("m, j, c", (
+    (1, 0, _DOWN), (1, 0, _HALF_PI), (1, 0, _UP),
+    (1, 0, -_DOWN), (1, 0, -_HALF_PI), (1, 0, -_UP),
+    (3, 1, _HALF_PI), (3, 1, _UP), (5, 1, _DOWN), (5, 1, _HALF_PI),
+))
+@pytest.mark.parametrize("dim", (3, 4))
+def test_roots_with_a_candidate_latitude_at_the_pole(m, j, c, dim):
+    t = latitude_with_candidate(c, m, j)
+    assert_matches_naive_scan(SphericalForm(0.8, (0.5,) + (0.3,) * (dim - 3) + (t,)), m)
 
 
 # -- replicate products ----------------------------------------------------------------
