@@ -20,7 +20,7 @@ import random
 import re
 import sys
 
-from . import checks, extensions, relativity
+from . import extensions, relativity
 from .core import (
     CartesianVec,
     DegenerateArgs,
@@ -204,6 +204,8 @@ def _cmd_convert(args) -> int:
 # -- reporting subcommands -----------------------------------------------------
 
 def _cmd_property_check(args) -> int:
+    from . import checks  # only this command runs the probes
+
     fmt = _resolve_format(args)
     results = checks.run_property_checks(seed=args.seed, trials=args.trials)
     failed = False

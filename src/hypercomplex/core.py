@@ -18,7 +18,7 @@ the module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Optional, Sequence
 
 TAU = 2.0 * math.pi
@@ -57,8 +57,44 @@ class DegenerateLongitudeError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class SphericalForm:
+class _Value:
+    """Base of the value types: an immutable slotted record whose fields are
+    its ``__slots__``.  Like a frozen dataclass it compares, hashes, prints
+    and pickles by its field tuple, and equals only its own class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        # rebuild through the public constructor: the default protocol
+        # restores slots by setattr, which is blocked below
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SphericalForm(_Value):
     """Geometric form ``(r, theta_2, ..., theta_N)``.
 
     ``modulus`` must be finite and non-negative.  The arguments are plain
@@ -68,18 +104,16 @@ class SphericalForm:
     reduction is an explicit operation, :func:`canonicalize`.
     """
 
+    __slots__ = ("modulus", "args")
     modulus: float
     args: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", float(self.modulus))
-        object.__setattr__(self, "args", tuple(float(a) for a in self.args))
-        if not math.isfinite(self.modulus) or self.modulus < 0.0:
-            raise ValueError(f"modulus must be finite and >= 0, got {self.modulus}")
-        if len(self.args) < 1:
+    def __init__(self, modulus: float, args: Sequence[float]):
+        modulus = float(modulus)
+        args = tuple(map(float, args))
+        _fill_form(self, modulus, args)  # modulus first; () passes the rest
+        if not args:
             raise ValueError("need at least one argument (dimension >= 2)")
-        if not all(math.isfinite(a) for a in self.args):
-            raise ValueError("arguments must be finite")
 
     @property
     def dim(self) -> int:
@@ -101,20 +135,17 @@ class SphericalForm:
         return pow_int(self, m)
 
 
-@dataclass(frozen=True)
-class CartesianVec:
+class CartesianVec(_Value):
     """Component form ``(x_1, ..., x_N)``, N >= 2, all components finite."""
 
+    __slots__ = ("components",)
     components: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(float(c) for c in self.components)
-        )
-        if len(self.components) < 2:
+    def __init__(self, components: Sequence[float]):
+        components = tuple(map(float, components))
+        if len(components) < 2:
             raise ValueError("need at least two components (dimension >= 2)")
-        if not all(math.isfinite(c) for c in self.components):
-            raise ValueError("components must be finite")
+        _fill_vec(self, components)
 
     @property
     def dim(self) -> int:
@@ -130,14 +161,13 @@ class CartesianVec:
         return add(self, other)
 
     def __neg__(self) -> "CartesianVec":
-        return CartesianVec(tuple(-c for c in self.components))
+        return _vec(tuple(map(operator.neg, self.components)))
 
     def __sub__(self, other: "CartesianVec") -> "CartesianVec":
         return add(self, -other)
 
 
-@dataclass(frozen=True)
-class DegenerateArgs:
+class DegenerateArgs(_Value):
     """Longitudes ``theta_2, ..., theta_m`` for a value whose first ``m``
     Cartesian components are all zero.
 
@@ -145,14 +175,57 @@ class DegenerateArgs:
     what a given conversion needs are ignored, missing entries default to 0.
     """
 
+    __slots__ = ("longitudes",)
     longitudes: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "longitudes", tuple(float(a) for a in self.longitudes)
-        )
-        if not all(math.isfinite(a) for a in self.longitudes):
+    def __init__(self, longitudes: Sequence[float]):
+        longitudes = tuple(map(float, longitudes))
+        if not all(map(math.isfinite, longitudes)):
             raise ValueError("fallback longitudes must be finite")
+        object.__setattr__(self, "longitudes", longitudes)
+
+
+# The constructors set slots through their descriptors, past the blocked
+# __setattr__.
+_new = object.__new__
+_put_modulus = SphericalForm.modulus.__set__
+_put_args = SphericalForm.args.__set__
+_put_components = CartesianVec.components.__set__
+
+
+def _fill_form(h: SphericalForm, r: float, args: tuple[float, ...]) -> None:
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"modulus must be finite and >= 0, got {r}")
+    if not all(map(math.isfinite, args)):
+        raise ValueError("arguments must be finite")
+    _put_modulus(h, r)
+    _put_args(h, args)
+
+
+def _fill_vec(v: CartesianVec, components: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, components)):
+        raise ValueError("components must be finite")
+    _put_components(v, components)
+
+
+def _form(r: float, args: Sequence[float], canonical: bool = True) -> SphericalForm:
+    """Internal constructor for a form the library computed from valid
+    values.  Its inputs are floats already, so it skips the coercion, but it
+    keeps the checks: a product or power can overflow.  ``canonical``
+    reduces the arguments once they are known finite (``_canonical_args``
+    cannot take an infinite one); without it ``args`` must be a tuple."""
+    h = _new(SphericalForm)
+    _fill_form(h, r, args)
+    if canonical:
+        _put_args(h, _canonical_args(args))
+    return h
+
+
+def _vec(components: tuple[float, ...]) -> CartesianVec:
+    """Internal constructor for computed float components, still checked."""
+    v = _new(CartesianVec)
+    _fill_vec(v, components)
+    return v
 
 
 def identity(dim: int) -> SphericalForm:
@@ -195,7 +268,7 @@ def to_cartesian(h: SphericalForm) -> CartesianVec:
     (``x_1`` takes the full cosine product and no sine.)  Total on every
     SphericalForm; the Euclidean norm of the result equals the modulus.
     """
-    return CartesianVec(_cartesian(h.modulus, h.args))
+    return _vec(_cartesian(h.modulus, h.args))
 
 
 def _cartesian(r: float, args: Sequence[float]) -> tuple[float, ...]:
@@ -234,7 +307,7 @@ def to_spherical(
     for k in range(max(m + 1, 2), n + 1):
         adjacent = comps[0] if k == 2 else chain[k - 2]
         args[k - 2] = math.atan2(comps[k - 1], adjacent)
-    return canonicalize(SphericalForm(chain[-1], tuple(args)))
+    return _form(chain[-1], args)
 
 
 def _wrap_pm_pi(t: float) -> float:
@@ -255,7 +328,7 @@ def canonicalize(h: SphericalForm) -> SphericalForm:
     which leaves every Cartesian component unchanged.  Finally the longitude
     is reduced mod 2*pi.  Idempotent.
     """
-    return SphericalForm(h.modulus, _canonical_args(h.args))
+    return _form(h.modulus, h.args)
 
 
 def _canonical_args(args: Sequence[float]) -> tuple[float, ...]:
@@ -285,7 +358,7 @@ def add(a: CartesianVec, b: CartesianVec) -> CartesianVec:
     a silent pad would mask caller bugs in additive code paths)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return CartesianVec(tuple(x + y for x, y in zip(a.components, b.components)))
+    return _vec(tuple(map(operator.add, a.components, b.components)))
 
 
 def mul_geometric(
@@ -300,11 +373,9 @@ def mul_geometric(
     if a.dim != b.dim:
         d = max(a.dim, b.dim)
         a, b = promote(a, d), promote(b, d)
-    prod = SphericalForm(
-        a.modulus * b.modulus,
-        tuple(x + y for x, y in zip(a.args, b.args)),
+    return _form(
+        a.modulus * b.modulus, tuple(map(operator.add, a.args, b.args)), canonical
     )
-    return canonicalize(prod) if canonical else prod
 
 
 def _leading_zeros(comps: Sequence[float]) -> int:
@@ -376,16 +447,14 @@ def mul_cartesian(
         out[k - 1] = (ca[k - 1] * rb[k - 2] + cb[k - 1] * ra[k - 2]) * suffix[k + 1]
     if n >= 3:
         out[n - 1] = ca[n - 1] * rb[n - 2] + cb[n - 1] * ra[n - 2]
-    return CartesianVec(tuple(out))
+    return _vec(tuple(out))
 
 
 def inverse(h: SphericalForm) -> SphericalForm:
     """Invert the modulus, negate every argument; canonicalized."""
     if h.modulus == 0.0:
         raise ZeroDivisionError("zero modulus has no multiplicative inverse")
-    return canonicalize(
-        SphericalForm(1.0 / h.modulus, tuple(-t for t in h.args))
-    )
+    return _form(1.0 / h.modulus, tuple(map(operator.neg, h.args)))
 
 
 def divide(a: SphericalForm, b: SphericalForm) -> SphericalForm:
@@ -409,7 +478,7 @@ def pow_int(h: SphericalForm, m: int) -> SphericalForm:
         r = h.modulus ** m
     except OverflowError:
         raise ValueError(f"modulus {h.modulus!r} ** {m} overflows") from None
-    return canonicalize(SphericalForm(r, tuple(m * t for t in h.args)))
+    return _form(r, tuple(m * t for t in h.args))
 
 
 def equals_cartesian(a: SphericalForm, b: SphericalForm, tol: float) -> bool:

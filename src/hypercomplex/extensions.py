@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from enum import Enum
 from typing import Optional
 
@@ -21,11 +21,13 @@ from .core import (
     CartesianVec,
     DegenerateArgs,
     SphericalForm,
+    _Value,
     _canonical_args,
     _cartesian,
+    _form,
+    _vec,
     _wrap_pm_pi,
     add,
-    canonicalize,
     is_canonical,
     mul_cartesian,
 )
@@ -64,16 +66,20 @@ class ConjugateVariant(str, Enum):
     THIRD = "third"    # 3D only, negate the latitude:  product is r^2 e^(i 2 theta)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Value):
     """Deduplicated m-th roots plus how many candidates survived pre-dedup.
 
     On generic inputs the note is ``(N-1) * m**(N-1)`` for odd ``m`` (every
     replicate family repeats the roots) and the root count for even ``m``.
     """
 
+    __slots__ = ("roots", "multiplicity_note")
     roots: tuple[SphericalForm, ...]
     multiplicity_note: int
+
+    def __init__(self, roots: tuple[SphericalForm, ...], multiplicity_note: int):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "multiplicity_note", multiplicity_note)
 
 
 def conjugate(
@@ -86,15 +92,15 @@ def conjugate(
     """
     variant = ConjugateVariant(variant)
     if variant is ConjugateVariant.FULL:
-        return canonicalize(SphericalForm(h.modulus, tuple(-t for t in h.args)))
+        return _form(h.modulus, tuple(map(operator.neg, h.args)))
     if h.dim != 3:
         raise ValueError(
             f"{variant.value} conjugate is defined for dimension 3 only, got {h.dim}"
         )
     theta, phi = h.args
     if variant is ConjugateVariant.SECOND:
-        return canonicalize(SphericalForm(h.modulus, (-theta, phi)))
-    return canonicalize(SphericalForm(h.modulus, (theta, -phi)))
+        return _form(h.modulus, (-theta, phi))
+    return _form(h.modulus, (theta, -phi))
 
 
 def replicate(h: SphericalForm, k: int) -> SphericalForm:
@@ -109,7 +115,7 @@ def replicate(h: SphericalForm, k: int) -> SphericalForm:
     args = list(h.args)
     args[k - 2] = math.pi - args[k - 2]
     args[k - 3] = args[k - 3] + math.pi
-    return SphericalForm(h.modulus, tuple(args))
+    return _form(h.modulus, tuple(args), canonical=False)
 
 
 def nth_roots(h: SphericalForm, m: int) -> RootSet:
@@ -149,7 +155,7 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     generic = _generic_families(h, m, families)
     if generic is not None:
         roots = tuple(
-            SphericalForm(r_root, _canonical_args(raw))
+            _form(r_root, _canonical_args(raw), canonical=False)
             for per_arg in generic
             for raw in itertools.product(*per_arg)
         )
@@ -183,7 +189,7 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
                 continue
             key = tuple(math.floor(c / _DEDUP_CELL) for c in cart)
             cells.setdefault(key, []).append(cart)
-            roots.append(SphericalForm(r_root, args))
+            roots.append(_form(r_root, args, canonical=False))
     return RootSet(tuple(roots), survivors)
 
 
@@ -263,12 +269,10 @@ def replicate_products(
     r = a.modulus * b.modulus
     lon = a.args[0] + b.args[0]
     pa, pb = a.args[1], b.args[1]
-    prods = tuple(
-        SphericalForm(r, (lon, lat)) for lat in (pa + pb, pb - pa, pa - pb, -pa - pb)
+    return tuple(
+        _form(r, (lon, lat), canonical)
+        for lat in (pa + pb, pb - pa, pa - pb, -pa - pb)
     )
-    if canonical:
-        return tuple(canonicalize(p) for p in prods)
-    return prods
 
 
 def j_squared(theta: float) -> tuple[float, float]:
@@ -319,9 +323,6 @@ def distributivity_residual(
     lhs = mul_cartesian(a, add(b, c), a_fallback, sum_fallback)
     ab = mul_cartesian(a, b, a_fallback, b_fallback)
     ac = mul_cartesian(a, c, a_fallback, c_fallback)
-    return CartesianVec(
-        tuple(
-            l - (p + q)
-            for l, p, q in zip(lhs.components, ab.components, ac.components)
-        )
-    )
+    return _vec(tuple(
+        l - (p + q) for l, p, q in zip(lhs.components, ab.components, ac.components)
+    ))

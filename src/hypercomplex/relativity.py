@@ -10,10 +10,9 @@ displacement itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import TAU, HALF_PI, CartesianVec, pow_int, to_cartesian, to_spherical
+from .core import TAU, HALF_PI, CartesianVec, _Value, pow_int, to_cartesian, to_spherical
 
 __all__ = [
     "EventDelta",
@@ -25,22 +24,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EventDelta:
+class EventDelta(_Value):
     """Displacement between two events; time carried as c*dt (length units),
     so no numeric speed of light ever appears."""
 
+    __slots__ = ("dx", "dy", "dz", "cdt")
     dx: float
     dy: float
     dz: float
     cdt: float
 
-    def __post_init__(self):
-        for name in ("dx", "dy", "dz", "cdt"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
+    def __init__(self, dx: float, dy: float, dz: float, cdt: float):
+        for name, v in zip(self.__slots__, (dx, dy, dz, cdt)):
+            v = float(v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
 
 
 class SquareProjection(NamedTuple):
@@ -63,11 +62,12 @@ def square_and_project(d: EventDelta) -> SquareProjection:
     """Square the 4D form of ``d`` and project the result.
 
     ``spatial_modulus`` is the Euclidean norm of the square's first three
-    Cartesian components and equals ``|ds^2|``; ``time_component`` is the
+    Cartesian components (by ``hypot``, so it neither overflows nor
+    underflows) and equals ``|ds^2|``; ``time_component`` is the
     fourth component and equals ``2 * cdt * sqrt(dx^2 + dy^2 + dz^2)``.
     """
     x, y, z, w = to_cartesian(pow_int(_as_form(d), 2)).components
-    return SquareProjection(math.sqrt(x * x + y * y + z * z), w)
+    return SquareProjection(math.hypot(x, y, z), w)
 
 
 def doubled_latitude_quadrant(d: EventDelta) -> int:

@@ -1,8 +1,12 @@
 """Shared samplers and oracles for the test suite."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
+
+import pytest
 
 from hypercomplex import SphericalForm, canonicalize, nth_roots, pow_int, replicate, to_cartesian
 
@@ -84,3 +88,30 @@ def assert_matches_naive_scan(h: SphericalForm, m: int) -> None:
     assert [float_bits(r) for r in rs.roots] == [float_bits(r) for r in roots]
     assert rs.multiplicity_note == survivors
     assert rs.roots
+
+
+def assert_value_contract(value, text: str, **fields) -> None:
+    """The frozen-record contract of a value type: ``repr`` is ``text``;
+    ``==`` and ``hash`` go by the field tuple, positional or keyword, but
+    the bare tuple is not equal; fields can be neither assigned nor
+    deleted; pickle (every protocol), copy and deepcopy round-trip; class
+    patterns match the fields positionally."""
+    cls = type(value)
+    values = tuple(fields.values())
+    assert repr(value) == text
+    assert cls.__match_args__ == tuple(fields)
+    assert value == cls(*values) == cls(**fields)
+    assert not value != cls(*values)
+    assert hash(value) == hash(values)
+    assert value != values
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is cls and back == value
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value

@@ -201,6 +201,33 @@ def test_algebra_commands_do_not_import_numpy():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_algebra_commands_load_neither_dataclasses_nor_numpy():
+    # a fresh interpreter; modules its site already loaded do not count
+    import hypercomplex
+
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from hypercomplex.cli import main\n"
+        "assert main(['mul', '2,1,0.5', '3,0.5,0.2']) == 0\n"
+        "after_mul = 'hypercomplex.checks' in sys.modules\n"
+        "for argv in (['roots', '-m', '2', '--form', 'cartesian', '4,0,0'],\n"
+        "             ['relativity-check', '--trials', '2'],\n"
+        "             ['property-check', '--trials', '2']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps([after_mul, sorted(added & {'dataclasses', 'numpy'})]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    checks_after_mul, heavy = json.loads(proc.stdout.splitlines()[-1])
+    assert not checks_after_mul
+    assert heavy == []
+
+
 def test_fractal_writes_pgm(capsys, tmp_path):
     out_path = tmp_path / "s.pgm"
     code, out, _ = run(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import TAU, angle_gap, max_gap, random_form, random_vec
+from conftest import TAU, angle_gap, assert_value_contract, max_gap, random_form, random_vec
 from hypercomplex import (
     CartesianVec,
     DegenerateArgs,
@@ -47,6 +47,98 @@ def test_cartesian_vec_validation():
     with pytest.raises(ValueError):
         CartesianVec((1.0, math.nan))
     assert CartesianVec((1, 2, 3, 4)).dim == 4
+
+
+# -- value-type contract --------------------------------------------------------
+
+def test_value_types_are_frozen_records():
+    assert_value_contract(
+        SphericalForm(1, (0, 0)),
+        "SphericalForm(modulus=1.0, args=(0.0, 0.0))",
+        modulus=1.0, args=(0.0, 0.0),
+    )
+    assert_value_contract(
+        CartesianVec((1, -2.5, 0)),
+        "CartesianVec(components=(1.0, -2.5, 0.0))",
+        components=(1.0, -2.5, 0.0),
+    )
+    assert_value_contract(
+        DegenerateArgs((0.5,)), "DegenerateArgs(longitudes=(0.5,))", longitudes=(0.5,)
+    )
+
+
+def test_value_types_equal_only_their_own_class():
+    # equal field tuples, different classes
+    assert CartesianVec((0.5, 1.0)) != DegenerateArgs((0.5, 1.0))
+    assert DegenerateArgs((0.5, 1.0)) != CartesianVec((0.5, 1.0))
+    assert SphericalForm(1.0, (0.0,)) != CartesianVec((1.0, 0.0))
+    assert len({CartesianVec((0.5, 1.0)), DegenerateArgs((0.5, 1.0))}) == 2
+
+
+def test_constructors_take_keywords_and_coerce_to_float():
+    h = SphericalForm(modulus=2, args=[1, 0])
+    v = CartesianVec(components=iter([3, -4]))
+    fb = DegenerateArgs(longitudes=[1])
+    assert (h.modulus, h.args, v.components, fb.longitudes) == (2.0, (1.0, 0.0), (3.0, -4.0), (1.0,))
+    for x in (h.modulus, *h.args, *v.components, *fb.longitudes):
+        assert type(x) is float
+    assert type(h.args) is type(v.components) is type(fb.longitudes) is tuple
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SphericalForm(math.inf, (0.0,)), "modulus must be finite and >= 0, got inf"),
+    (lambda: SphericalForm(math.nan, (0.0,)), "modulus must be finite and >= 0, got nan"),
+    (lambda: SphericalForm(-1, (0.0,)), "modulus must be finite and >= 0, got -1.0"),
+    # the modulus is checked before the arguments
+    (lambda: SphericalForm(-math.inf, ()), "modulus must be finite and >= 0, got -inf"),
+    (lambda: SphericalForm(-1, (math.nan,)), "modulus must be finite and >= 0, got -1.0"),
+    (lambda: SphericalForm(1, ()), "need at least one argument (dimension >= 2)"),
+    (lambda: SphericalForm(1, (0.0, math.inf)), "arguments must be finite"),
+    (lambda: SphericalForm(0, (math.nan,)), "arguments must be finite"),
+    (lambda: CartesianVec((math.inf,)), "need at least two components (dimension >= 2)"),
+    (lambda: CartesianVec((1, -math.inf)), "components must be finite"),
+    (lambda: CartesianVec((math.nan, 0, 0)), "components must be finite"),
+    (lambda: DegenerateArgs((0.0, math.nan)), "fallback longitudes must be finite"),
+], ids=[
+    "inf-modulus", "nan-modulus", "negative-modulus", "modulus-before-empty-args",
+    "modulus-before-nan-arg", "no-args", "inf-arg", "nan-arg", "one-component",
+    "inf-component", "nan-component", "nan-fallback",
+])
+def test_constructor_error_messages(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("compute, message", [
+    (lambda: mul_geometric(SphericalForm(1e200, (0.1, 0.2)), SphericalForm(1e200, (0.3, 0.4))),
+     "modulus must be finite and >= 0, got inf"),
+    (lambda: inverse(SphericalForm(5e-324, (0.1, 0.2))),
+     "modulus must be finite and >= 0, got inf"),
+    # an argument that overflows is reported before any range reduction,
+    # which would fail on an infinite latitude with "math domain error"
+    (lambda: pow_int(SphericalForm(1, (1e308, 0.2)), 3), "arguments must be finite"),
+    (lambda: pow_int(SphericalForm(1, (0.2, 1e308)), 3), "arguments must be finite"),
+    (lambda: mul_geometric(SphericalForm(1, (1e308, 0.2)), SphericalForm(1, (1e308, 0.4))),
+     "arguments must be finite"),
+    (lambda: mul_geometric(SphericalForm(1, (0.1, 0.2, 1e308)), SphericalForm(1, (0.3, 0.4, 1e308))),
+     "arguments must be finite"),
+    (lambda: mul_geometric(SphericalForm(1, (0.1, -1e308)), SphericalForm(1, (0.3, -1e308)),
+                           canonical=False),
+     "arguments must be finite"),
+    (lambda: mul_geometric(SphericalForm(1e200, (1e308, 0.2)), SphericalForm(1e200, (1e308, 0.4))),
+     "modulus must be finite and >= 0, got inf"),
+    (lambda: add(CartesianVec((1.7e308, 0.0)), CartesianVec((1.7e308, 0.0))),
+     "components must be finite"),
+], ids=[
+    "mul-modulus", "inverse-modulus", "pow-longitude", "pow-latitude", "mul-longitude",
+    "mul-latitude", "raw-mul-args",
+    "mul-modulus-first", "add-components",
+])
+def test_computed_values_are_checked(compute, message):
+    with pytest.raises(ValueError) as exc:
+        compute()
+    assert str(exc.value) == message
 
 
 # -- to_cartesian --------------------------------------------------------------

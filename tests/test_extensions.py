@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from conftest import TAU, assert_matches_naive_scan, max_gap, random_form, random_vec
+from conftest import (
+    TAU,
+    assert_matches_naive_scan,
+    assert_value_contract,
+    max_gap,
+    random_form,
+    random_vec,
+)
 from hypercomplex import (
     CartesianVec,
     DegenerateLongitudeError,
+    RootSet,
     SphericalForm,
     canonicalize,
     conjugate,
@@ -142,6 +150,17 @@ def test_first_degree_root_is_the_value():
     rs = nth_roots(h, 1)
     assert len(rs.roots) == 1
     assert rs.roots[0] == canonicalize(h)
+
+
+def test_root_set_is_a_frozen_record():
+    rs = nth_roots(SphericalForm(4.0, (0.0, 0.0)), 1)
+    assert type(rs) is RootSet
+    assert_value_contract(
+        rs,
+        "RootSet(roots=(SphericalForm(modulus=4.0, args=(0.0, 0.0)),), multiplicity_note=2)",
+        roots=(SphericalForm(4.0, (0.0, 0.0)),),
+        multiplicity_note=2,
+    )
 
 
 def test_roots_of_zero():

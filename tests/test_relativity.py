@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import assert_value_contract
 from hypercomplex import (
     EventDelta,
     doubled_latitude_quadrant,
@@ -29,6 +30,17 @@ def test_square_and_project_reference_points():
 
     spatial, _ = square_and_project(EventDelta(1, 0, 0, 1))
     assert abs(spatial) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_square_and_project_extreme_scale(scale):
+    # the square's components are 1e+-200: their squares leave the float range
+    d = EventDelta(scale, 0, 0, 0)
+    spatial, time_comp = square_and_project(d)
+    target = abs(interval_sq(d))
+    assert 0.0 < spatial < math.inf
+    assert abs(spatial - target) <= 1e-12 * target
+    assert time_comp == 0.0
 
 
 def test_boost_reference_points():
@@ -96,3 +108,26 @@ def test_quadrant_tracks_interval_sign():
 def test_event_delta_validation():
     with pytest.raises(ValueError):
         EventDelta(math.nan, 0, 0, 0)
+
+
+def test_event_delta_is_a_frozen_record():
+    assert_value_contract(
+        EventDelta(1, -2, 0.5, 3),
+        "EventDelta(dx=1.0, dy=-2.0, dz=0.5, cdt=3.0)",
+        dx=1.0, dy=-2.0, dz=0.5, cdt=3.0,
+    )
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((math.inf, 0, 0, 0), "dx must be finite"),
+    ((0, math.nan, 0, 0), "dy must be finite"),
+    ((0, 0, -math.inf, 0), "dz must be finite"),
+    ((0, 0, 0, math.nan), "cdt must be finite"),
+    # fields are coerced and checked in order
+    ((math.nan, "not a number", 0, 0), "dx must be finite"),
+    ((0, "not a number", math.nan, 0), "could not convert string to float: 'not a number'"),
+])
+def test_event_delta_error_messages(coords, message):
+    with pytest.raises(ValueError) as exc:
+        EventDelta(*coords)
+    assert str(exc.value) == message
