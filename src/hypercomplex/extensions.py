@@ -155,9 +155,7 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     generic = _generic_families(h, m, families)
     if generic is not None:
         roots = tuple(
-            _form(r_root, _canonical_args(raw), canonical=False)
-            for per_arg in generic
-            for raw in itertools.product(*per_arg)
+            _form(r_root, raw) for per_arg in generic for raw in itertools.product(*per_arg)
         )
         note = len(forms) * m ** (h.dim - 1) if m % 2 else len(roots)
         return RootSet(roots, note)

@@ -11,11 +11,18 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
   complex one under the substitution y -> z.
 
 Each approach has a single array step kernel.  The lattice render, the
-one-cell ``escape_time`` and the one-step ``iterate_*`` helpers all run it,
-so per-cell results are bitwise independent of grid shape, tiling and
-parallelism.  The render steps only the cells still inside the radius-2
-disk, dropping each one once it escapes, so its cost follows the cell
-iterations actually run rather than cells x ``n_max``.
+one-cell ``escape_time`` and the one-step ``iterate_*`` helpers (on
+one-element arrays) all run it, so per-cell results are bitwise independent
+of grid shape, tiling and parallelism.
+
+The render starts every orbit at ``h_1 = c``, which is exactly the step from
+``h_0 = 0``.  Each iteration squares the state once: ``x^2 - y^2``,
+``x^2 + y^2`` and ``z^2`` feed the radius-2 escape test and are then reused
+by the next step.  An escaped cell gets its count and leaves the live mask
+but is stepped on with the rest until 1/8 of the carried cells are dead;
+one compaction then drops them all.  So the cost follows the cell
+iterations actually run rather than cells x ``n_max``, with the copying of
+compaction paid only now and then.
 """
 
 from __future__ import annotations
@@ -99,44 +106,81 @@ def axis_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
 
-# -- step kernels: one per approach, on arrays or numpy scalars ---------------
+# -- step kernels: one per approach, on arrays ---------------------------------
 
-def _step_first(X, Y, Z, CX, CY, CZ):
-    RHO2 = X * X + Y * Y
-    # pure z-axis states (rho = 0) need a longitude to square: it is fixed at
-    # 0 so the iteration stays deterministic
-    deg = RHO2 == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = 1.0 - (Z * Z) / RHO2
-        XN = np.where(deg, -(Z * Z) + CX, (X * X - Y * Y) * F + CX)
-        YN = np.where(deg, CY, (2.0 * X * Y) * F + CY)
-        ZN = np.where(deg, CZ, (2.0 * Z) * np.sqrt(RHO2) + CZ)
+def _squares(X, Y, Z):
+    """``X^2 - Y^2``, ``X^2 + Y^2`` and ``Z^2`` of a state: the escape test
+    reads the last two, and the next step reads all three."""
+    XX = X * X
+    YY = Y * Y
+    D = XX - YY
+    XX += YY
+    return D, XX, Z * Z
+
+
+# Each kernel takes a state, its _squares and c, and returns the next state.
+# The squares are scratch: a kernel overwrites D and RHO2.  Callers silence
+# numpy's floating-point warnings: 0/0 on degenerate cells is patched over,
+# and an orbit past the float range is inf or NaN, which the escape test and
+# CartesianVec each handle.
+
+def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
+    deg = np.flatnonzero(RHO2 == 0.0)
+    F = np.divide(ZZ, RHO2)
+    np.subtract(1.0, F, out=F)
+    XN = np.multiply(D, F, out=D)
+    XN += CX
+    YN = 2.0 * X
+    YN *= Y
+    YN *= F
+    YN += CY
+    ZN = 2.0 * Z
+    ZN *= np.sqrt(RHO2, out=RHO2)
+    ZN += CZ
+    if deg.size:
+        # pure z-axis states (rho = 0) need a longitude to square: it is
+        # fixed at 0 so the iteration stays deterministic
+        XN[deg] = CX[deg] - ZZ[deg]
+        YN[deg] = CY[deg]
+        ZN[deg] = CZ[deg]
     return XN, YN, ZN
 
 
-def _step_second(X, Y, Z, CX, CY, CZ):
+def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
     # Doubled-angle square of the alternative resolution, evaluated through
     # exact half-angle algebra instead of trig calls:
     #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
     #   cos 2P = (rho^2 - z^2)/r^2      sin 2P = s*2*rho*z/r^2
     # with s = -1 in the x < 0 (or x = 0, y < 0) half-space where the
     # latitude is offset by +-pi.  The r^2 modulus of the square cancels the
-    # 1/r^2 of the doubled angles.  At the origin the latitude is undetermined
-    # and the next state is just c; other pure z-axis states take the first
+    # 1/r^2 of the doubled angles.  Pure z-axis states take the first
     # approach's zero-longitude rule (T = 0, P = +-pi/2), which keeps the
-    # y = 0 plane exactly complex.
-    RHO2 = X * X + Y * Y
-    deg = RHO2 == 0.0
-    zero = deg & (Z == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T = RHO2 - Z * Z
-        RHO = np.sqrt(RHO2)
-        SRHO = np.where((X > 0.0) | ((X == 0.0) & (Y > 0.0)), RHO, -RHO)
-        XN = np.where(
-            zero, CX, np.where(deg, -(Z * Z) + CX, ((X * X - Y * Y) / RHO2) * T + CX)
-        )
-        YN = np.where(deg, CY, ((2.0 * X * Y) / RHO2) * T + CY)
-        ZN = np.where(deg, CZ, (2.0 * SRHO) * Z + CZ)
+    # y = 0 plane exactly complex; at the origin, where the latitude is
+    # undetermined, that rule gives c - 0 = c.
+    deg = np.flatnonzero(RHO2 == 0.0)
+    T = RHO2 - ZZ
+    XN = np.divide(D, RHO2, out=D)
+    XN *= T
+    XN += CX
+    YN = 2.0 * X
+    YN *= Y
+    YN /= RHO2
+    YN *= T
+    YN += CY
+    # s takes the sign of x, or of y where x = +-0 (a zero y there is a
+    # degenerate cell, patched below)
+    ZN = np.sqrt(RHO2, out=RHO2)
+    ZN *= 2.0
+    np.copysign(ZN, X, out=ZN)
+    on_yz = np.flatnonzero(X == 0.0)
+    if on_yz.size:
+        ZN[on_yz] = np.copysign(ZN[on_yz], Y[on_yz])
+    ZN *= Z
+    ZN += CZ
+    if deg.size:
+        XN[deg] = CX[deg] - ZZ[deg]
+        YN[deg] = CY[deg]
+        ZN[deg] = CZ[deg]
     return XN, YN, ZN
 
 
@@ -151,9 +195,10 @@ def _require3(*vs: CartesianVec):
 
 def _iterate(step, state: CartesianVec, c: CartesianVec) -> CartesianVec:
     _require3(state, c)
+    X, Y, Z, CX, CY, CZ = (np.array([v]) for v in state.components + c.components)
     # a state too large to square overflows to inf, which CartesianVec rejects
-    with np.errstate(over="ignore"):
-        return CartesianVec(step(*map(np.float64, state.components + c.components)))
+    with np.errstate(all="ignore"):
+        return CartesianVec(np.concatenate(step(X, Y, Z, *_squares(X, Y, Z), CX, CY, CZ)))
 
 
 def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
@@ -193,27 +238,56 @@ def _cell_axes(cfg: FractalConfig) -> list[np.ndarray]:
     return [axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution)]
 
 
+_COMPACT_SHARE = 8  # compact once 1/8 of the carried lanes are dead
+
+
 def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
-    # Flattened state of the still-active cells only; idx maps each back to
-    # its lattice cell, so escaped cells cost nothing after their last step.
+    # Flattened lanes of the cells not yet compacted away; idx maps each lane
+    # back to its lattice cell.  The orbit starts at h_1 = c, the exact step
+    # from h_0 = 0.  Each iteration squares the state once, for the escape
+    # test and then the next step.  An escaped lane only leaves `alive`: it
+    # is stepped on, to inf and NaN, and its count is never written again
+    # (new & alive), until 1/8 of the carried lanes are dead and one
+    # compaction drops them all.
     CX, CY, CZ = (a.ravel() for a in np.meshgrid(xs, ys, zs, indexing="ij"))
     step = _STEPS[cfg.approach]
     counts = np.full(CX.size, cfg.n_max, dtype=np.int32)
     idx = np.arange(CX.size)
-    X = Y = Z = np.zeros(CX.size)
-    # a square past the float range is inf, which escapes; that is the
-    # answer, not a fault worth a warning
-    with np.errstate(over="ignore"):
+    alive = np.ones(CX.size, dtype=bool)
+    n_alive = CX.size
+    X, Y, Z = CX, CY, CZ
+    # a square past the float range is inf, which escapes, and a dead lane
+    # runs on to inf - inf = NaN; both are answers, not faults worth a warning
+    with np.errstate(all="ignore"):
         for n in range(1, cfg.n_max + 1):
-            X, Y, Z = step(X, Y, Z, CX, CY, CZ)
+            D, RHO2, ZZ = _squares(X, Y, Z)
             # radius-2 escape test on squared moduli; a NaN state never
             # passes it and so stays a member
-            escaped = (X * X + Y * Y) + Z * Z > 4.0
-            counts[idx[escaped]] = n
-            live = ~escaped
-            idx, X, Y, Z, CX, CY, CZ = (a[live] for a in (idx, X, Y, Z, CX, CY, CZ))
-            if not idx.size:
+            new = RHO2 + ZZ > 4.0
+            new &= alive
+            n_new = np.count_nonzero(new)
+            if n_new:
+                counts[idx[new]] = n
+                alive ^= new
+                n_alive -= n_new
+            if not n_alive or n == cfg.n_max:
                 break
+            if _COMPACT_SHARE * (alive.size - n_alive) >= alive.size:
+                # one array at a time, so each old array is freed before the
+                # next copy is made
+                keep = np.flatnonzero(alive)
+                alive = alive[keep]
+                idx = idx[keep]
+                X = X[keep]
+                Y = Y[keep]
+                Z = Z[keep]
+                D = D[keep]
+                RHO2 = RHO2[keep]
+                ZZ = ZZ[keep]
+                CX = CX[keep]
+                CY = CY[keep]
+                CZ = CZ[keep]
+            X, Y, Z = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ)
     return counts.reshape(len(xs), len(ys), len(zs))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -263,32 +264,36 @@ def test_roots_at_subnormal_and_largest_moduli(r):
 # -- roots by construction: the edges of the closed-form guard -----------------------
 
 @pytest.fixture
-def canonical_calls(monkeypatch):
-    """Records nth_roots' calls to ``_canonical_args``: one per root on the
-    closed-form path, two per candidate on the filtered enumeration."""
+def cartesian_calls(monkeypatch):
+    """Records nth_roots' own calls to ``_cartesian``: none on the
+    closed-form path; on the filtered enumeration one for the target, one
+    per candidate's power-back and one per surviving candidate."""
     calls = []
-    real = extensions._canonical_args
+    real = extensions._cartesian
 
-    def counted(args):
-        calls.append(args)
-        return real(args)
+    def counted(r, args):
+        if sys._getframe(1).f_code is extensions.nth_roots.__code__:
+            calls.append(args)
+        return real(r, args)
 
-    monkeypatch.setattr(extensions, "_canonical_args", counted)
+    monkeypatch.setattr(extensions, "_cartesian", counted)
     return calls
 
 
 def built_directly(h, m, calls):
     calls.clear()
-    return len(nth_roots(h, m).roots) == len(calls)
+    nth_roots(h, m)
+    return not calls
 
 
-def test_generic_roots_skip_the_filter(canonical_calls):
+def test_generic_roots_skip_the_filter(cartesian_calls):
     h = random_form(random.Random(13), 6)
     nth_roots(h, 3)
-    assert len(canonical_calls) == 3 ** 5
-    canonical_calls.clear()
-    nth_roots(SphericalForm(h.modulus, (h.args[0] + TAU,) + h.args[1:]), 3)
-    assert len(canonical_calls) == 2 * 5 * 3 ** 5
+    assert cartesian_calls == []
+    rs = nth_roots(SphericalForm(h.modulus, (h.args[0] + TAU,) + h.args[1:]), 3)
+    # 5 replicate families of 3**5 candidates, and for odd m all survive
+    assert rs.multiplicity_note == 5 * 3 ** 5
+    assert len(cartesian_calls) == 1 + 2 * 5 * 3 ** 5
 
 
 def guard_edge(make, m, lo, hi, calls):
@@ -324,28 +329,28 @@ _GUARD_EDGES = {
 
 
 @pytest.mark.parametrize("name", sorted(_GUARD_EDGES))
-def test_roots_match_naive_scan_on_either_side_of_the_guard(name, canonical_calls):
+def test_roots_match_naive_scan_on_either_side_of_the_guard(name, cartesian_calls):
     make, m, lo, hi = _GUARD_EDGES[name]
-    for x in guard_edge(make, m, lo, hi, canonical_calls):
+    for x in guard_edge(make, m, lo, hi, cartesian_calls):
         assert_matches_naive_scan(make(x), m)
 
 
-def test_pole_adjacent_square_roots_keep_the_folded_candidates(canonical_calls):
+def test_pole_adjacent_square_roots_keep_the_folded_candidates(cartesian_calls):
     # x_3 = cos(d) sin(d)**3 ~ 1.3e-9: the folded candidates power back
     # within 1e-8, so there are twice the closed form's 10 roots
     h = SphericalForm(1.3, (0.9,) + (PI / 2 - 1.1e-3,) * 4)
-    assert not built_directly(h, 2, canonical_calls)
+    assert not built_directly(h, 2, cartesian_calls)
     rs = nth_roots(h, 2)
     assert len(rs.roots) == 20 and rs.multiplicity_note == 20
     assert_matches_naive_scan(h, 2)
 
 
 @pytest.mark.parametrize("x3", (4.9e-9, 5e-9, 5.1e-9, 2e-8))
-def test_square_roots_around_the_power_back_cut(x3, canonical_calls):
+def test_square_roots_around_the_power_back_cut(x3, cartesian_calls):
     # 2|x_3| below 1e-8 lets the folded candidates through; the closed form
     # takes over only once |x_3| is a whole tolerance past that
     h = SphericalForm(1.7, (0.7, math.asin(x3)))
-    assert built_directly(h, 2, canonical_calls) == (x3 > 1e-8)
+    assert built_directly(h, 2, cartesian_calls) == (x3 > 1e-8)
     assert_matches_naive_scan(h, 2)
 
 
@@ -360,12 +365,12 @@ _ONE_ULP_OUTSIDE = (
 @pytest.mark.parametrize("inside, outside", _ONE_ULP_OUTSIDE)
 @pytest.mark.parametrize("m", (2, 3))
 @pytest.mark.parametrize("dim", (3, 4))
-def test_roots_one_ulp_outside_canonical(inside, outside, m, dim, canonical_calls):
+def test_roots_one_ulp_outside_canonical(inside, outside, m, dim, cartesian_calls):
     mid = (0.3,) * (dim - 3)
     for args in (inside, outside):
         assert_matches_naive_scan(SphericalForm(0.8, args[:1] + mid + args[1:]), m)
     assert not built_directly(SphericalForm(0.8, outside[:1] + mid + outside[1:]), m,
-                              canonical_calls)
+                              cartesian_calls)
 
 
 def latitude_with_candidate(c, m, j):

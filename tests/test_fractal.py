@@ -165,7 +165,7 @@ def test_second_approach_slice_survives_exact_axis_hit():
 def _assert_plane_is_classical(approach, lo, hi, res, n_max=100):
     """Render the plane an approach keeps exactly complex -- c_z = 0 for
     ``first``, c_y = 0 (with y -> z) for ``second`` -- over [lo, hi]^2 and
-    compare every cell with the classical map."""
+    compare every cell with the classical map.  Returns the plane's counts."""
     flat = (0.0, 0.0)
     if approach == "first":
         region, resolution = ((lo, hi), (lo, hi), flat), (res, res, 1)
@@ -176,11 +176,24 @@ def _assert_plane_is_classical(approach, lo, hi, res, n_max=100):
     counts = render_grid(cfg).counts.reshape(res, res)
     cs = axis_centers(lo, hi, res)
     assert counts.tolist() == [[classical_escape(a, b, n_max) for b in cs] for a in cs]
+    return counts
 
 
-@pytest.mark.parametrize("approach", ["first", "second"])
-def test_member_heavy_zoom_plane_equals_classical_map(approach):
-    _assert_plane_is_classical(approach, -0.5, 0.5, 41)
+# plane (lo, hi, res) and how many of its cells escape.  On the second plane
+# 7 of 441 cells escape, too few dead lanes for a compaction, so they are
+# stepped on to inf and NaN beside the members: no count may be rewritten,
+# and no RuntimeWarning may leak (pyproject.toml makes one fail the test).
+_CLASSICAL_PLANES = {"": (-0.5, 0.5, 41, 236), "-few-escapers": (-0.6, 0.3, 21, 7)}
+
+
+@pytest.mark.parametrize("approach, plane", [
+    pytest.param(approach, plane, id=approach + tag)
+    for tag, plane in _CLASSICAL_PLANES.items() for approach in ("first", "second")
+])
+def test_member_heavy_zoom_plane_equals_classical_map(approach, plane):
+    lo, hi, res, escapers = plane
+    counts = _assert_plane_is_classical(approach, lo, hi, res)
+    assert np.count_nonzero(counts < 100) == escapers
 
 
 @pytest.mark.parametrize("approach", ["first", "second"])
