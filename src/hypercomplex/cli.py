@@ -7,13 +7,14 @@ prints 9 significant digits; ``--format json-lines`` carries full binary
 precision; ``--format csv`` adds a header row.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
-longitude, a result modulus past the float range, unwritable file), 2 usage
-error.
+longitude, a result modulus past the float range, a fractal box or slice
+that is not finite, unwritable file), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -284,6 +285,9 @@ def _cmd_fractal(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+# One parser per process: building it costs milliseconds, and parse_args
+# leaves it unchanged.  The output format is resolved when a command runs.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS, default=None,

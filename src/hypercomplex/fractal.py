@@ -16,17 +16,20 @@ one-element arrays) all run it, so per-cell results are bitwise independent
 of grid shape, tiling and parallelism.
 
 The render starts every orbit at ``h_1 = c``, which is exactly the step from
-``h_0 = 0``.  Each iteration squares the state once: ``x^2 - y^2``,
-``x^2 + y^2`` and ``z^2`` feed the radius-2 escape test and are then reused
-by the next step.  An escaped cell gets its count and leaves the live mask
-but is stepped on with the rest until 1/8 of the carried cells are dead;
-one compaction then drops them all.  So the cost follows the cell
-iterations actually run rather than cells x ``n_max``, with the copying of
-compaction paid only now and then.
+``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
+squares come from the lattice axes, and a cell outside radius 2 gets its
+count 1 and never gets a lane in the iterated arrays.  Every later iteration
+squares the state once: ``x^2 - y^2``, ``x^2 + y^2`` and ``z^2`` feed the
+escape test and are then reused by the next step.  An escaped cell gets its
+count and leaves the live mask but is stepped on with the rest until 1/8 of
+the carried cells are dead; one compaction then drops them all.  So the cost
+follows the cell iterations actually run rather than cells x ``n_max``, with
+the copying of compaction paid only now and then.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,8 +77,11 @@ class FractalConfig:
             raise ValueError("n_max must be >= 1")
         region = tuple((float(lo), float(hi)) for lo, hi in self.region)
         object.__setattr__(self, "region", region)
-        if len(region) != 3 or any(hi < lo for lo, hi in region):
-            raise ValueError("region must be three inclusive intervals")
+        # a NaN or infinite bound, hi < lo and a span past the float range
+        # all leave hi - lo outside [0, inf)
+        if len(region) != 3 or not all(0.0 <= hi - lo < math.inf for lo, hi in region):
+            raise ValueError("region must be three inclusive intervals lo <= hi "
+                             "with finite bounds and a finite span hi - lo")
         res = tuple(int(r) for r in self.resolution)
         object.__setattr__(self, "resolution", res)
         if len(res) != 3 or any(r < 1 for r in res):
@@ -86,7 +92,10 @@ class FractalConfig:
             axis, value = self.slice_spec
             if axis not in _AXES:
                 raise ValueError("slice axis must be one of x, y, z")
-            object.__setattr__(self, "slice_spec", (axis, float(value)))
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"slice value must be finite, got {value!r}")
+            object.__setattr__(self, "slice_spec", (axis, value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,35 +251,43 @@ _COMPACT_SHARE = 8  # compact once 1/8 of the carried lanes are dead
 
 
 def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
-    # Flattened lanes of the cells not yet compacted away; idx maps each lane
-    # back to its lattice cell.  The orbit starts at h_1 = c, the exact step
-    # from h_0 = 0.  Each iteration squares the state once, for the escape
-    # test and then the next step.  An escaped lane only leaves `alive`: it
-    # is stepped on, to inf and NaN, and its count is never written again
+    # The orbit starts at h_1 = c, the exact step from h_0 = 0, so iteration
+    # 1 is the escape test on c.  Its squares separate by axis: the tables
+    # D1 = x^2 - y^2 and R1 = x^2 + y^2 per (x, y) column, and z^2 per plane,
+    # each the same float operations as in _squares.  A cell outside radius
+    # 2 gets count 1 and no lane.  Every other cell gets a flattened lane, in
+    # lattice order; idx maps it back to its cell.  Each later iteration
+    # steps the lanes, squares them once, for the escape test and then the
+    # next step, and tests them.  An escaped lane only leaves `alive`: it is
+    # stepped on, to inf and NaN, and its count is never written again
     # (new & alive), until 1/8 of the carried lanes are dead and one
     # compaction drops them all.
-    CX, CY, CZ = (a.ravel() for a in np.meshgrid(xs, ys, zs, indexing="ij"))
+    xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
+    shape = (xs.size, ys.size, zs.size)
     step = _STEPS[cfg.approach]
-    counts = np.full(CX.size, cfg.n_max, dtype=np.int32)
-    idx = np.arange(CX.size)
-    alive = np.ones(CX.size, dtype=bool)
-    n_alive = CX.size
-    X, Y, Z = CX, CY, CZ
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
-        for n in range(1, cfg.n_max + 1):
-            D, RHO2, ZZ = _squares(X, Y, Z)
-            # radius-2 escape test on squared moduli; a NaN state never
-            # passes it and so stays a member
-            new = RHO2 + ZZ > 4.0
-            new &= alive
-            n_new = np.count_nonzero(new)
-            if n_new:
-                counts[idx[new]] = n
-                alive ^= new
-                n_alive -= n_new
-            if not n_alive or n == cfg.n_max:
+        xx, yy, zz = xs * xs, ys * ys, zs * zs
+        D1 = xx[:, None] - yy
+        R1 = xx[:, None] + yy
+        # radius-2 escape test on squared moduli; a NaN state never passes
+        # it and so stays a member
+        escaped = (R1[:, :, None] + zz > 4.0).ravel()
+        counts = np.where(escaped, np.int32(1), np.int32(cfg.n_max))
+        lanes = np.logical_not(escaped, out=escaped).reshape(shape)
+        idx = np.flatnonzero(lanes)
+        # lanes run z fastest, so a column's values repeat once per lane it
+        # keeps, and the plane values are picked out by the mask
+        per_column = np.count_nonzero(lanes, axis=2).ravel()
+        CX, CY, D, RHO2 = (np.repeat(np.broadcast_to(a, shape[:2]).ravel(), per_column)
+                           for a in (xs[:, None], ys, D1, R1))
+        CZ, ZZ = (np.broadcast_to(a, shape)[lanes] for a in (zs, zz))
+        X, Y, Z = CX, CY, CZ
+        alive = np.ones(idx.size, dtype=bool)
+        n_alive = idx.size
+        for n in range(2, cfg.n_max + 1):
+            if not n_alive:
                 break
             if _COMPACT_SHARE * (alive.size - n_alive) >= alive.size:
                 # one array at a time, so each old array is freed before the
@@ -288,7 +305,15 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
                 CY = CY[keep]
                 CZ = CZ[keep]
             X, Y, Z = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ)
-    return counts.reshape(len(xs), len(ys), len(zs))
+            D, RHO2, ZZ = _squares(X, Y, Z)
+            new = RHO2 + ZZ > 4.0
+            new &= alive
+            n_new = np.count_nonzero(new)
+            if n_new:
+                counts[idx[new]] = n
+                alive ^= new
+                n_alive -= n_new
+    return counts.reshape(shape)
 
 
 def _z_slabs(zs: np.ndarray, workers: int) -> list[np.ndarray]:
@@ -360,13 +385,16 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
                 fh.write(data[:, row].tobytes())
     elif fmt == "csv":
         # each centre is formatted once per axis, each escape suffix once per
-        # count (members -> -1); one write per z-plane bounds the memory
+        # count up to the largest escape count present, and members (count
+        # n_max) are clipped to the last slot, -1; one write per z-plane
+        # bounds the memory
         xs, ys, zs = ([f"{v:.9e}" for v in axis] for axis in _cell_axes(cfg))
-        tails = [f",{n}\n" for n in range(cfg.n_max)] + [",-1\n"]
+        top = 1 + int(np.max(grid.counts, where=grid.counts < cfg.n_max, initial=0))
+        tails = [f",{n}\n" for n in range(top)] + [",-1\n"]
         with open(destination, "w", encoding="ascii") as fh:
             fh.write("x,y,z,escape\n")
             for iz, zc in enumerate(zs):
-                plane = grid.counts[:, :, iz].T.tolist()  # plane[iy][ix]
+                plane = np.minimum(grid.counts[:, :, iz], top).T.tolist()  # plane[iy][ix]
                 fh.write("".join(
                     f"{xc},{yc},{zc}{tails[n]}"
                     for yc, row in zip(ys, plane)

@@ -17,6 +17,7 @@ from hypercomplex import (
     to_cartesian,
     to_spherical,
 )
+from hypercomplex import cli
 from hypercomplex.cli import emit_value, main
 
 
@@ -150,6 +151,37 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     out_path = tmp_path / "x.csv"
     assert run(capsys, "fractal", "--format", "csv", "--res", "2,2,2", "--out", str(out_path))[0] == 2
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--region=nan:1,-1:1,-1:1", "--region=-inf:inf,-1:1,-1:1",
+                                  "--region=-1e308:1e308,-1:1,-1:1", "--slice=z=nan"])
+def test_fractal_non_finite_box_exits_1(capsys, tmp_path, flag):
+    out_path = tmp_path / "x.pgm"
+    code, out, err = run(capsys, "fractal", flag, "--res", "2,2,2", "--out", str(out_path))
+    assert code == 1 and out == "" and "finite" in err
+    assert not out_path.exists()
+
+
+def test_successive_calls_reuse_the_parser_without_carrying_state(capsys):
+    # the parser is built once per process; append options, defaults and a
+    # usage error in between must not leak from one call into the next
+    calls = [
+        ["relativity-check", "--delta", "1,0,0,2", "--delta", "0,1,0,3", "--beta", "0.6"],
+        ["div", "--form", "cartesian", "--fallback", "0.3", "--fallback", "0.5", "1,1,1", "0,0,2"],
+        ["mul", "1,0,0"],
+        ["relativity-check", "--delta", "2,0,0,1", "--beta", "0.5", "--format", "csv"],
+        ["div", "--form", "cartesian", "--fallback", "0.1", "--fallback", "0.7", "1,1,1", "0,0,2"],
+        ["div", "--form", "cartesian", "1,1,1", "0,0,2"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert len({out for _, out, _ in reused}) == len(calls)
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_property_check_deterministic(capsys):

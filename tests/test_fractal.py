@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -174,7 +175,7 @@ def _assert_plane_is_classical(approach, lo, hi, res, n_max=100):
     cfg = FractalConfig(approach=approach, n_max=n_max, region=region,
                         resolution=resolution)
     counts = render_grid(cfg).counts.reshape(res, res)
-    cs = axis_centers(lo, hi, res)
+    cs = axis_centers(lo, hi, res).tolist()  # Python floats for the oracle
     assert counts.tolist() == [[classical_escape(a, b, n_max) for b in cs] for a in cs]
     return counts
 
@@ -212,6 +213,18 @@ def test_escape_test_is_strict_on_the_radius(approach):
         cfg = FractalConfig(approach=approach, region=((cx, cx), (0.0, 0.0), (0.0, 0.0)),
                             resolution=(1, 1, 1))
         assert render_grid(cfg).counts[0, 0, 0] == classical_escape(cx, 0.0, cfg.n_max)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param(-2.5, 2.5, id="centres-on-radius-two"),  # centres -2, -1, 0, 1, 2
+    pytest.param(-3e200, 3e200, id="overflowing-squares"),
+])
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_first_escape_test_matches_classical_map_at_the_edges(approach, lo, hi, n_max):
+    # cells exactly on |c| = 2 stay for n = 2 (the test is strict), cells
+    # whose squares overflow leave at n = 1, and n_max = 1 stops there
+    _assert_plane_is_classical(approach, lo, hi, 5, n_max=n_max)
 
 
 @pytest.mark.parametrize("approach", ["first", "second"])
@@ -326,6 +339,23 @@ def test_config_validation():
         FractalConfig(region=((1.0, -1.0), (-1.0, 1.0), (-1.0, 1.0)))
 
 
+@pytest.mark.parametrize("region", [
+    pytest.param(((math.nan, 1.0), (-1.0, 1.0), (-1.0, 1.0)), id="nan-bound"),
+    pytest.param(((-1.0, 1.0), (-1.0, math.inf), (-1.0, 1.0)), id="inf-bound"),
+    pytest.param(((-1.0, 1.0), (-1.0, 1.0), (-math.inf, math.inf)), id="infinite-box"),
+    pytest.param(((-1e308, 1e308), (-1.0, 1.0), (-1.0, 1.0)), id="overflowing-span"),
+])
+def test_config_rejects_non_finite_regions(region):
+    with pytest.raises(ValueError, match="finite"):
+        FractalConfig(region=region)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_slice(value):
+    with pytest.raises(ValueError, match="finite"):
+        FractalConfig(slice_spec=("z", value))
+
+
 # -- exporters -----------------------------------------------------------------------
 
 def test_escape_byte_mapping():
@@ -383,6 +413,18 @@ def test_csv_rows(tmp_path):
     row = out.read_text().splitlines()[1]
     assert row.split(",")[-1] == "1"
     assert float(row.split(",")[0]) == 3.0
+
+
+def test_csv_suffix_table_follows_the_counts_not_n_max(tmp_path):
+    # one cell escaping at n = 1 under a huge budget: the exporter must not
+    # build a suffix per possible count
+    cfg = FractalConfig(region=((3.0, 3.0), (0.0, 0.0), (0.0, 0.0)),
+                        resolution=(1, 1, 1), n_max=10**9)
+    out = tmp_path / "grid.csv"
+    start = time.perf_counter()
+    export_grid(render_grid(cfg), "csv", out)
+    assert time.perf_counter() - start < 0.5
+    assert out.read_text() == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
 
 
 @pytest.mark.parametrize("n_max", [1, 3, 20])
