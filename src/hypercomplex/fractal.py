@@ -18,19 +18,26 @@ of grid shape, tiling and parallelism.
 The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
 squares come from the lattice axes, and a cell outside radius 2 gets its
-count 1 and never gets a lane in the iterated arrays.  Every later iteration
-squares the state once: ``x^2 - y^2``, ``x^2 + y^2`` and ``z^2`` feed the
-escape test and are then reused by the next step.  An escaped cell gets its
-count and leaves the live mask but is stepped on with the rest until 1/8 of
-the carried cells are dead; one compaction then drops them all.  So the cost
-follows the cell iterations actually run rather than cells x ``n_max``, with
-the copying of compaction paid only now and then.
+count 1 and never gets a lane.  The other cells go through a fixed pool of
+lanes, allocated once per block and written in place, which a cursor fills
+in lattice order; so a render holds the counts and one pool, not state for
+every cell.  Each iteration squares the state once: ``x^2 - y^2``,
+``x^2 + y^2`` and ``z^2`` feed the escape test and are then reused by the
+next step.  An escaped cell gets its count and leaves the live mask but is
+stepped on with the rest until 1/8 of the pool is dead; then the live lanes
+are packed to the front and the freed lanes take the next cells, so lanes
+that started at different iterations share every pass.  A lane that reaches
+``n_max`` leaves as a member.  The cost follows the cell iterations actually
+run rather than cells x ``n_max``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -53,7 +60,10 @@ __all__ = [
 
 _APPROACHES = ("first", "second")
 _AXES = ("x", "y", "z")
-_MAX_CELLS = 1 << 26  # lattice guard, ~0.5 GiB of float64 state
+# lattice guard: the counts and the lane mask take 5 bytes a cell, 320 MiB
+# at the limit; the iterated state is a fixed-size pool
+_MAX_CELLS = 1 << 26
+_MAX_N = (1 << 31) - 1  # the counts are int32
 
 
 @dataclass(frozen=True)
@@ -73,8 +83,11 @@ class FractalConfig:
     def __post_init__(self):
         if self.approach not in _APPROACHES:
             raise ValueError(f"approach must be one of {_APPROACHES}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # an integer, or the render's iteration numbers never meet it
+        n_max = operator.index(self.n_max)
+        object.__setattr__(self, "n_max", n_max)
+        if not 1 <= n_max <= _MAX_N:
+            raise ValueError(f"n_max must be in [1, {_MAX_N}]")
         region = tuple((float(lo), float(hi)) for lo, hi in self.region)
         object.__setattr__(self, "region", region)
         # a NaN or infinite bound, hi < lo and a span past the float range
@@ -117,33 +130,36 @@ def axis_centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 # -- step kernels: one per approach, on arrays ---------------------------------
 
-def _squares(X, Y, Z):
-    """``X^2 - Y^2``, ``X^2 + Y^2`` and ``Z^2`` of a state: the escape test
-    reads the last two, and the next step reads all three."""
-    XX = X * X
-    YY = Y * Y
-    D = XX - YY
+def _squares(X, Y, Z, D, RHO2, ZZ):
+    """``X^2 - Y^2``, ``X^2 + Y^2`` and ``Z^2`` of a state, written into D,
+    RHO2 and ZZ: the escape test reads the last two, and the next step reads
+    all three."""
+    XX = np.multiply(X, X, out=RHO2)
+    YY = np.multiply(Y, Y, out=ZZ)
+    np.subtract(XX, YY, out=D)
     XX += YY
-    return D, XX, Z * Z
+    np.multiply(Z, Z, out=ZZ)
+    return D, RHO2, ZZ
 
 
-# Each kernel takes a state, its _squares and c, and returns the next state.
-# The squares are scratch: a kernel overwrites D and RHO2.  Callers silence
-# numpy's floating-point warnings: 0/0 on degenerate cells is patched over,
-# and an orbit past the float range is inf or NaN, which the escape test and
-# CartesianVec each handle.
+# Each kernel takes a state, its _squares and c, and writes the next state
+# into XN, YN and ZN, which it returns.  The squares are scratch: a kernel may
+# overwrite RHO2, and ZN holds a factor until the new z is computed.  Callers
+# silence numpy's floating-point warnings: 0/0 on degenerate cells is patched
+# over, and an orbit past the float range is inf or NaN, which the escape
+# test and CartesianVec each handle.
 
-def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
-    deg = np.flatnonzero(RHO2 == 0.0)
-    F = np.divide(ZZ, RHO2)
+def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
+    deg = (RHO2 == 0.0).nonzero()[0]
+    F = np.divide(ZZ, RHO2, out=ZN)
     np.subtract(1.0, F, out=F)
-    XN = np.multiply(D, F, out=D)
+    np.multiply(D, F, out=XN)
     XN += CX
-    YN = 2.0 * X
+    np.multiply(2.0, X, out=YN)
     YN *= Y
     YN *= F
     YN += CY
-    ZN = 2.0 * Z
+    np.multiply(2.0, Z, out=ZN)
     ZN *= np.sqrt(RHO2, out=RHO2)
     ZN += CZ
     if deg.size:
@@ -155,7 +171,7 @@ def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
     return XN, YN, ZN
 
 
-def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
+def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
     # Doubled-angle square of the alternative resolution, evaluated through
     # exact half-angle algebra instead of trig calls:
     #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
@@ -166,22 +182,22 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ):
     # approach's zero-longitude rule (T = 0, P = +-pi/2), which keeps the
     # y = 0 plane exactly complex; at the origin, where the latitude is
     # undetermined, that rule gives c - 0 = c.
-    deg = np.flatnonzero(RHO2 == 0.0)
-    T = RHO2 - ZZ
-    XN = np.divide(D, RHO2, out=D)
+    deg = (RHO2 == 0.0).nonzero()[0]
+    T = np.subtract(RHO2, ZZ, out=ZN)
+    np.divide(D, RHO2, out=XN)
     XN *= T
     XN += CX
-    YN = 2.0 * X
+    np.multiply(2.0, X, out=YN)
     YN *= Y
     YN /= RHO2
     YN *= T
     YN += CY
     # s takes the sign of x, or of y where x = +-0 (a zero y there is a
     # degenerate cell, patched below)
-    ZN = np.sqrt(RHO2, out=RHO2)
+    np.sqrt(RHO2, out=ZN)
     ZN *= 2.0
     np.copysign(ZN, X, out=ZN)
-    on_yz = np.flatnonzero(X == 0.0)
+    on_yz = (X == 0.0).nonzero()[0]
     if on_yz.size:
         ZN[on_yz] = np.copysign(ZN[on_yz], Y[on_yz])
     ZN *= Z
@@ -205,9 +221,11 @@ def _require3(*vs: CartesianVec):
 def _iterate(step, state: CartesianVec, c: CartesianVec) -> CartesianVec:
     _require3(state, c)
     X, Y, Z, CX, CY, CZ = (np.array([v]) for v in state.components + c.components)
+    out = np.empty((6, 1))
     # a state too large to square overflows to inf, which CartesianVec rejects
     with np.errstate(all="ignore"):
-        return CartesianVec(np.concatenate(step(X, Y, Z, *_squares(X, Y, Z), CX, CY, CZ)))
+        return CartesianVec(np.concatenate(step(X, Y, Z, *_squares(X, Y, Z, *out[:3]),
+                                                CX, CY, CZ, *out[3:])))
 
 
 def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
@@ -231,7 +249,7 @@ def iterate_second(state: CartesianVec, c: CartesianVec) -> CartesianVec:
 
 def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
     """First n in [1, n_max] with |h_n| > 2, else n_max (member): the
-    lattice render of a single cell at ``c``.
+    lattice render of a single cell at ``c``, on a pool of one lane.
 
     Every iteration pays numpy's per-call overhead on a one-cell array, so
     a loop over many points should use :func:`render_grid` on a lattice.
@@ -247,7 +265,12 @@ def _cell_axes(cfg: FractalConfig) -> list[np.ndarray]:
     return [axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution)]
 
 
-_COMPACT_SHARE = 8  # compact once 1/8 of the carried lanes are dead
+_COMPACT_SHARE = 8  # pack and refill the pool once 1/8 of its lanes are dead
+# Lanes iterated at once.  Their 12 float64 buffers take 768 KiB, which a
+# core's L2 cache holds; a smaller pool pays numpy's per-call cost on more
+# iterations, a larger one spills.  Picked from interleaved renders with
+# pools of 4096 to 32768 lanes.
+_POOL_LANES = 8192
 
 
 def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
@@ -255,64 +278,111 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     # 1 is the escape test on c.  Its squares separate by axis: the tables
     # D1 = x^2 - y^2 and R1 = x^2 + y^2 per (x, y) column, and z^2 per plane,
     # each the same float operations as in _squares.  A cell outside radius
-    # 2 gets count 1 and no lane.  Every other cell gets a flattened lane, in
-    # lattice order; idx maps it back to its cell.  Each later iteration
-    # steps the lanes, squares them once, for the escape test and then the
-    # next step, and tests them.  An escaped lane only leaves `alive`: it is
+    # 2 gets count 1; every other cell is marked in `todo`.
+    #
+    # The later iterations run on a pool of at most _POOL_LANES lanes, whose
+    # buffers are allocated once and written through out=.  A cursor hands
+    # the marked cells to the pool in lattice order, each at h_1 with the
+    # squares of c taken from the tables; idx maps a lane back to its cell,
+    # and start is the iteration at which the lane held h_1, so a lane that
+    # escapes at iteration n has count n - start + 1.  Each iteration steps
+    # the lanes, squares them once, for the escape test and then the next
+    # step, and tests them.  An escaped lane only leaves `alive`: it is
     # stepped on, to inf and NaN, and its count is never written again
-    # (new & alive), until 1/8 of the carried lanes are dead and one
-    # compaction drops them all.
+    # (new & alive), until 1/8 of the carried lanes are dead.  Then the live
+    # lanes past the first n_alive move into the dead slots before them, and
+    # the cursor refills the slots behind.  The lanes of one refill are a
+    # cohort; on the iteration a cohort reaches n_max, its live lanes leave
+    # as members, whose count n_max is already set.  Once the lattice is
+    # used up the pool shrinks to its live lanes instead.
     xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
     shape = (xs.size, ys.size, zs.size)
+    n_max = cfg.n_max
     step = _STEPS[cfg.approach]
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
         xx, yy, zz = xs * xs, ys * ys, zs * zs
-        D1 = xx[:, None] - yy
-        R1 = xx[:, None] + yy
-        # radius-2 escape test on squared moduli; a NaN state never passes
-        # it and so stays a member
-        escaped = (R1[:, :, None] + zz > 4.0).ravel()
-        counts = np.where(escaped, np.int32(1), np.int32(cfg.n_max))
-        lanes = np.logical_not(escaped, out=escaped).reshape(shape)
-        idx = np.flatnonzero(lanes)
-        # lanes run z fastest, so a column's values repeat once per lane it
-        # keeps, and the plane values are picked out by the mask
-        per_column = np.count_nonzero(lanes, axis=2).ravel()
-        CX, CY, D, RHO2 = (np.repeat(np.broadcast_to(a, shape[:2]).ravel(), per_column)
-                           for a in (xs[:, None], ys, D1, R1))
-        CZ, ZZ = (np.broadcast_to(a, shape)[lanes] for a in (zs, zz))
-        X, Y, Z = CX, CY, CZ
-        alive = np.ones(idx.size, dtype=bool)
-        n_alive = idx.size
-        for n in range(2, cfg.n_max + 1):
-            if not n_alive:
-                break
+        D1 = (xx[:, None] - yy).ravel()
+        R1 = (xx[:, None] + yy).ravel()
+        CX1 = np.repeat(xs, ys.size)
+        CY1 = np.tile(ys, xs.size)
+        # radius-2 escape test on squared moduli, in blocks of about one pool,
+        # so no float array the size of the lattice is made; a NaN state
+        # never passes it and so stays a member
+        todo = np.empty((R1.size, zs.size), dtype=bool)
+        rows, cols = max(1, _POOL_LANES // zs.size), min(zs.size, _POOL_LANES)
+        for i in range(0, R1.size, rows):
+            for j in range(0, zs.size, cols):
+                np.greater(R1[i:i + rows, None] + zz[j:j + cols], 4.0,
+                           out=todo[i:i + rows, j:j + cols])
+        counts = np.where(todo, np.int32(1), np.int32(n_max)).ravel()
+        todo = np.logical_not(todo, out=todo).ravel()
+
+        # at n_max = 1 the first test already gave every count
+        size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 1 else 0
+        X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
+        idx = np.empty(size, dtype=np.intp)
+        # int64: the iteration number runs past n_max once a pool of members
+        # has retired and the next one started, so near the int32 bound of
+        # n_max it would overflow int32
+        start = np.empty(size, dtype=np.int64)
+        alive = np.zeros(size, dtype=bool)
+        hit = np.empty(size, dtype=bool)
+        cohorts = deque()
+        cursor = n_alive = 0
+        for n in itertools.count(2):
             if _COMPACT_SHARE * (alive.size - n_alive) >= alive.size:
-                # one array at a time, so each old array is freed before the
-                # next copy is made
-                keep = np.flatnonzero(alive)
-                alive = alive[keep]
-                idx = idx[keep]
-                X = X[keep]
-                Y = Y[keep]
-                Z = Z[keep]
-                D = D[keep]
-                RHO2 = RHO2[keep]
-                ZZ = ZZ[keep]
-                CX = CX[keep]
-                CY = CY[keep]
-                CZ = CZ[keep]
-            X, Y, Z = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ)
-            D, RHO2, ZZ = _squares(X, Y, Z)
-            new = RHO2 + ZZ > 4.0
+                holes = (~alive[:n_alive]).nonzero()[0]
+                if holes.size:
+                    movers = alive[n_alive:].nonzero()[0] + n_alive
+                    for a in (X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, idx, start):
+                        a[holes] = a[movers]
+                m = n_alive
+                while m < alive.size and cursor < todo.size:
+                    found = todo[cursor:cursor + _POOL_LANES].nonzero()[0]
+                    k = min(found.size, alive.size - m)
+                    if k:
+                        fill = slice(m, m + k)
+                        cells = np.add(found[:k], cursor, out=idx[fill])
+                        col = cells // zs.size
+                        iz = cells - col * zs.size
+                        X[fill] = CX[fill] = CX1[col]
+                        Y[fill] = CY[fill] = CY1[col]
+                        Z[fill] = CZ[fill] = zs[iz]
+                        D[fill] = D1[col]
+                        RHO2[fill] = R1[col]
+                        ZZ[fill] = zz[iz]
+                        start[fill] = n - 1
+                        m += k
+                    cursor += found[k - 1] + 1 if k < found.size else _POOL_LANES
+                if m > n_alive:
+                    cohorts.append(n - 1)
+                if m < alive.size:
+                    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ, idx, start, alive, hit = (
+                        a[:m] for a in (X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ,
+                                        idx, start, alive, hit))
+                if not m:
+                    break
+                alive[:] = True
+                n_alive = m
+            step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+            X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
+            _squares(X, Y, Z, D, RHO2, ZZ)
+            # the old state's buffer is free until the next step
+            new = np.greater(np.add(RHO2, ZZ, out=XN), 4.0, out=hit)
             new &= alive
             n_new = np.count_nonzero(new)
             if n_new:
-                counts[idx[new]] = n
-                alive ^= new
+                at = new.nonzero()[0]
+                counts[idx[at]] = n + 1 - start[at]
+                alive[at] = False
                 n_alive -= n_new
+            if cohorts[0] + n_max - 1 == n:
+                done = np.equal(start, cohorts.popleft(), out=hit)
+                done &= alive
+                alive ^= done
+                n_alive -= np.count_nonzero(done)
     return counts.reshape(shape)
 
 

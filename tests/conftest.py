@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from hypercomplex import SphericalForm, canonicalize, nth_roots, pow_int, replicate, to_cartesian
@@ -36,6 +37,34 @@ def classical_escape(cx: float, cy: float, n_max: int) -> int:
         if x * x + y * y > 4.0:
             return n
     return n_max
+
+
+def lockstep_counts(cfg) -> np.ndarray:
+    """Escape counts with every cell of the lattice stepped together, from
+    h_1 = c, until all have escaped or n_max is reached: the render without
+    its lane pool, its axis tables or its compaction.  It runs the module's
+    own ``_squares`` and step kernel, so the render must match it bit for
+    bit."""
+    from hypercomplex import fractal
+
+    axes = [fractal.axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution)]
+    CX, CY, CZ = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    X, Y, Z = CX.copy(), CY.copy(), CZ.copy()
+    D, RHO2, ZZ, XN, YN, ZN = np.empty((6, CX.size))
+    step = fractal._STEPS[cfg.approach]
+    counts = np.full(CX.size, cfg.n_max, dtype=np.int32)
+    alive = np.ones(CX.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for n in range(1, cfg.n_max + 1):
+            if n > 1:
+                X, Y, Z, XN, YN, ZN = *step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN), X, Y, Z
+            fractal._squares(X, Y, Z, D, RHO2, ZZ)
+            new = (RHO2 + ZZ > 4.0) & alive
+            counts[new] = n
+            alive &= ~new
+            if not alive.any():
+                break
+    return counts.reshape(cfg.resolution)
 
 
 def max_gap(seq_a, seq_b) -> float:

@@ -162,6 +162,17 @@ def test_fractal_non_finite_box_exits_1(capsys, tmp_path, flag):
     assert not out_path.exists()
 
 
+def test_fractal_n_max_past_the_int32_counts_exits_1(capsys, tmp_path):
+    out_path = tmp_path / "o.csv"
+    code, out, err = run(capsys, "fractal", "--nmax", "3000000000", "--res", "1,1,1",
+                         "--region=3:3,0:0,0:0", "--out", str(out_path))
+    assert code == 1 and out == "" and "n_max must be in [1, 2147483647]" in err
+    assert not out_path.exists()
+    code, out, _ = run(capsys, "fractal", "--nmax", "2147483647", "--res", "1,1,1",
+                       "--region=3:3,0:0,0:0", "--out", str(out_path))
+    assert code == 0 and out_path.read_text() == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
+
+
 def test_successive_calls_reuse_the_parser_without_carrying_state(capsys):
     # the parser is built once per process; append options, defaults and a
     # usage error in between must not leak from one call into the next

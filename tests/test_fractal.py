@@ -1,12 +1,13 @@
 import math
 import random
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import classical_escape, max_gap
+from conftest import classical_escape, lockstep_counts, max_gap
 from hypercomplex import (
     CartesianVec,
     FractalConfig,
@@ -286,6 +287,52 @@ def test_render_is_deterministic_across_worker_counts():
         assert np.array_equal(a.counts, b.counts)
 
 
+# -- lane pool ---------------------------------------------------------------------
+
+_SMALL_POOL = 64
+# every cell of the mixed box lies inside radius 2, so each is a lane after
+# iteration 1; its orbits escape early, late or never
+_MIXED = ((-1.9, 0.4), (-0.3, 0.3), (-0.2, 0.2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 100])
+@pytest.mark.parametrize("approach", ["first", "second"])
+@pytest.mark.parametrize("region, resolution, kind", [
+    pytest.param(_MIXED, (7, 3, 3), None, id="P-1-lanes"),
+    pytest.param(_MIXED, (4, 4, 4), None, id="P-lanes"),
+    pytest.param(_MIXED, (1, 1, 65), None, id="P+1-lanes-one-column"),
+    pytest.param(_MIXED, (43, 3, 1), None, id="2P+1-lanes"),
+    pytest.param(((0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)), (5, 5, 5), "escape", id="all-escape"),
+    pytest.param(((-0.2, 0.1),) * 3, (5, 5, 5), "member", id="all-member"),
+])
+def test_render_matches_lockstep_across_pool_boundaries(monkeypatch, region, resolution, kind,
+                                                        approach, n_max, workers):
+    monkeypatch.setattr(fractal, "_POOL_LANES", _SMALL_POOL)
+    cfg = FractalConfig(approach=approach, n_max=n_max, region=region, resolution=resolution)
+    counts = render_grid(cfg, workers=workers).counts
+    assert np.array_equal(counts, lockstep_counts(cfg))
+    if n_max == 100 and kind is not None:
+        assert ((counts < n_max) if kind == "escape" else (counts == n_max)).all()
+
+
+def test_render_memory_is_the_counts_plus_one_pool():
+    # A 64^3 member-heavy render keeps 262144 lanes alive at n = 1.  Only
+    # the counts (4 B a cell) and the lane mask (1 B a cell) grow with the
+    # lattice; the pool's 16 lane buffers take at most 8 B a lane each.
+    cfg = FractalConfig(approach="second", region=((-0.5, 0.5),) * 3, resolution=(64, 64, 64))
+    cells = 64 ** 3
+    bound = 5 * cells + 16 * 8 * fractal._POOL_LANES + (2 << 20)
+    tracemalloc.start()
+    try:
+        grid = render_grid(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.counts.nbytes == 4 * cells
+    assert peak <= bound <= 8 << 20
+
+
 @pytest.mark.parametrize("workers, cpus, lengths", [
     (0, 8, [6]),
     (1, 8, [6]),
@@ -327,6 +374,9 @@ def test_config_validation():
         FractalConfig(approach="third")
     with pytest.raises(ValueError):
         FractalConfig(n_max=0)
+    with pytest.raises(TypeError):  # a float budget would never be reached
+        FractalConfig(n_max=2.5)
+    assert type(FractalConfig(n_max=np.int64(7)).n_max) is int
     with pytest.raises(TypeError):  # the radius is fixed at 2: no such field
         FractalConfig(escape_radius=2.5)
     with pytest.raises(ValueError):
