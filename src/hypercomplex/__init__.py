@@ -16,8 +16,6 @@ _FRACTAL_NAMES = frozenset({
     "MembershipGrid",
     "escape_time",
     "export_grid",
-    "iterate_first",
-    "iterate_second",
     "render_grid",
 })
 

@@ -10,10 +10,9 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
   with ``c_y = 0`` stay in the y = 0 plane, where the map is the classical
   complex one under the substitution y -> z.
 
-Each approach has a single array step kernel.  The lattice render, the
-one-cell ``escape_time`` and the one-step ``iterate_*`` helpers (on
-one-element arrays) all run it, so per-cell results are bitwise independent
-of grid shape, tiling and parallelism.
+Each approach has a single array step kernel.  The lattice render and the
+one-cell ``escape_time`` both run it, so per-cell results are bitwise
+independent of grid shape, tiling and parallelism.
 
 The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
@@ -39,22 +38,18 @@ import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import CartesianVec
+from .core import CartesianVec, _Value
 
 __all__ = [
     "FractalConfig",
     "MembershipGrid",
     "axis_centers",
-    "iterate_first",
-    "iterate_second",
     "escape_time",
     "render_grid",
-    "escape_byte",
     "export_grid",
 ]
 
@@ -66,61 +61,69 @@ _MAX_CELLS = 1 << 26
 _MAX_N = (1 << 31) - 1  # the counts are int32
 
 
-@dataclass(frozen=True)
-class FractalConfig:
+class FractalConfig(_Value):
     """Sampling box, resolution and iteration budget for one render.
 
     The escape radius is fixed at 2, not configurable: membership is only
     meaningful inside that disk, and every exporter and oracle assumes it.
     """
 
-    approach: str = "first"
-    n_max: int = 100
-    region: tuple[tuple[float, float], ...] = ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0))
-    resolution: tuple[int, int, int] = (64, 64, 64)
-    slice_spec: Optional[tuple[str, float]] = None
+    __slots__ = ("approach", "n_max", "region", "resolution", "slice_spec")
+    approach: str
+    n_max: int
+    region: tuple[tuple[float, float], ...]
+    resolution: tuple[int, int, int]
+    slice_spec: Optional[tuple[str, float]]
 
-    def __post_init__(self):
-        if self.approach not in _APPROACHES:
+    def __init__(self, approach: str = "first", n_max: int = 100, region=((-2.0, 2.0),) * 3,
+                 resolution=(64, 64, 64), slice_spec=None):
+        if approach not in _APPROACHES:
             raise ValueError(f"approach must be one of {_APPROACHES}")
-        # an integer, or the render's iteration numbers never meet it
-        n_max = operator.index(self.n_max)
-        object.__setattr__(self, "n_max", n_max)
+        # integers: a float n_max is never met, a float resolution truncated
+        n_max = operator.index(n_max)
         if not 1 <= n_max <= _MAX_N:
             raise ValueError(f"n_max must be in [1, {_MAX_N}]")
-        region = tuple((float(lo), float(hi)) for lo, hi in self.region)
-        object.__setattr__(self, "region", region)
+        region = tuple((float(lo), float(hi)) for lo, hi in region)
         # a NaN or infinite bound, hi < lo and a span past the float range
         # all leave hi - lo outside [0, inf)
         if len(region) != 3 or not all(0.0 <= hi - lo < math.inf for lo, hi in region):
             raise ValueError("region must be three inclusive intervals lo <= hi "
                              "with finite bounds and a finite span hi - lo")
-        res = tuple(int(r) for r in self.resolution)
-        object.__setattr__(self, "resolution", res)
+        res = tuple(map(operator.index, resolution))
         if len(res) != 3 or any(r < 1 for r in res):
             raise ValueError("resolution components must be >= 1")
         if res[0] * res[1] * res[2] > _MAX_CELLS:
             raise ValueError(f"lattice larger than {_MAX_CELLS} cells")
-        if self.slice_spec is not None:
-            axis, value = self.slice_spec
+        if slice_spec is not None:
+            axis, value = slice_spec
             if axis not in _AXES:
                 raise ValueError("slice axis must be one of x, y, z")
             value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"slice value must be finite, got {value!r}")
-            object.__setattr__(self, "slice_spec", (axis, value))
+            slice_spec = (axis, value)
+        for name, v in zip(self.__slots__, (approach, n_max, region, res, slice_spec)):
+            object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipGrid:
+class MembershipGrid(_Value):
     """Escape-iteration counts on the lattice, shape = resolution.
 
     ``counts[ix, iy, iz]`` is the first iteration whose state left the
     radius-2 disk, or ``n_max`` for cells that never did (members).
     """
 
+    __slots__ = ("config", "counts")
     config: FractalConfig
     counts: np.ndarray
+
+    def __init__(self, config: FractalConfig, counts: np.ndarray):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "counts", counts)
+
+    # an array has no single truth value, so a grid equals only itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def axis_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -212,49 +215,13 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
 _STEPS = {"first": _step_first, "second": _step_second}
 
 
-def _require3(*vs: CartesianVec):
-    for v in vs:
-        if v.dim != 3:
-            raise ValueError(f"expected dimension 3, got {v.dim}")
-
-
-def _iterate(step, state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    _require3(state, c)
-    X, Y, Z, CX, CY, CZ = (np.array([v]) for v in state.components + c.components)
-    out = np.empty((6, 1))
-    # a state too large to square overflows to inf, which CartesianVec rejects
-    with np.errstate(all="ignore"):
-        return CartesianVec(np.concatenate(step(X, Y, Z, *_squares(X, Y, Z, *out[:3]),
-                                                CX, CY, CZ, *out[3:])))
-
-
-def iterate_first(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One Cartesian-formula step of ``h -> h**2 + c`` (3D).
-
-    Runs the array kernel on one cell, so every call pays numpy's per-call
-    overhead; a loop over many points should render them as a lattice with
-    :func:`render_grid` instead.
-    """
-    return _iterate(_step_first, state, c)
-
-
-def iterate_second(state: CartesianVec, c: CartesianVec) -> CartesianVec:
-    """One doubled-angle step of ``h -> h**2 + c`` (3D).
-
-    Runs the array kernel on one cell, with numpy's per-call overhead; see
-    :func:`iterate_first`.
-    """
-    return _iterate(_step_second, state, c)
-
-
 def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
-    """First n in [1, n_max] with |h_n| > 2, else n_max (member): the
-    lattice render of a single cell at ``c``, on a pool of one lane.
-
-    Every iteration pays numpy's per-call overhead on a one-cell array, so
-    a loop over many points should use :func:`render_grid` on a lattice.
-    """
-    _require3(c)
+    """First n in [1, n_max] with |h_n| > 2, else n_max (member), for a 3D
+    ``c``: the lattice render of one cell, on a pool of one lane.  Each
+    iteration pays numpy's per-call overhead, so a loop over many points
+    should use :func:`render_grid` on a lattice."""
+    if c.dim != 3:
+        raise ValueError(f"expected dimension 3, got {c.dim}")
     return int(_render_block(cfg, *([v] for v in c.components))[0, 0, 0])
 
 
@@ -415,16 +382,9 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
 
 # -- exporters ---------------------------------------------------------------
 
-def escape_byte(n: int, n_max: int) -> int:
-    """Byte coding shared by PGM and voxel output: 0 = member, escape at n
-    maps to ``1 + floor(254*(n - 1)/(n_max - 1))``."""
-    if n >= n_max:
-        return 0
-    return 1 + (254 * (n - 1)) // (n_max - 1)
-
-
 def _byte_array(counts: np.ndarray, n_max: int) -> np.ndarray:
-    # at n_max == 1 every count is 1, a member, so the divisor never matters
+    # 0 = member, else 1 + floor(254 (n - 1) / (n_max - 1)); at n_max == 1
+    # every count is 1, a member, so the divisor never matters
     scaled = 1 + (254 * (counts - 1)) // max(n_max - 1, 1)
     return np.where(counts >= n_max, 0, scaled).astype(np.uint8)
 

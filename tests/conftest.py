@@ -67,6 +67,31 @@ def lockstep_counts(cfg) -> np.ndarray:
     return counts.reshape(cfg.resolution)
 
 
+def kernel_step(approach: str, states, cs) -> list[tuple[float, float, float]]:
+    """One step ``h -> h**2 + c`` of an approach's array kernel on many
+    points in one call: the module's own ``_squares`` and step, as the render
+    runs them.  ``states`` is a sequence of (x, y, z); ``cs`` is one per
+    state or a single point for all.  Returns the next states as tuples of
+    Python floats."""
+    from hypercomplex import fractal
+
+    X, Y, Z = np.array(states, dtype=float).reshape(-1, 3).T.copy()
+    CX, CY, CZ = np.broadcast_to(np.asarray(cs, dtype=float), (X.size, 3)).T.copy()
+    D, RHO2, ZZ, XN, YN, ZN = np.empty((6, X.size))
+    with np.errstate(all="ignore"):
+        fractal._squares(X, Y, Z, D, RHO2, ZZ)
+        nxt = fractal._STEPS[approach](X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+    return [tuple(p) for p in np.stack(nxt, axis=1).tolist()]
+
+
+def escape_byte(n: int, n_max: int) -> int:
+    """Independent scalar PGM/voxel byte of an escape count: 0 for a member
+    (count n_max), else ``1 + floor(254*(n - 1)/(n_max - 1))``."""
+    if n >= n_max:
+        return 0
+    return 1 + (254 * (n - 1)) // (n_max - 1)
+
+
 def max_gap(seq_a, seq_b) -> float:
     return max(abs(x - y) for x, y in zip(seq_a, seq_b))
 

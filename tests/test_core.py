@@ -524,11 +524,10 @@ def test_package_public_names():
         "j_squared", "nth_roots", "replicate", "replicate_products", "scalar_embed",
         "EventDelta", "SquareProjection", "doubled_latitude_quadrant", "interval_sq",
         "lorentz_boost", "square_and_project",
-        "FractalConfig", "MembershipGrid", "escape_time", "export_grid",
-        "iterate_first", "iterate_second", "render_grid",
+        "FractalConfig", "MembershipGrid", "escape_time", "export_grid", "render_grid",
         "__version__",
     ]
-    assert len(names) == 42
+    assert len(names) == 40
     assert len(hypercomplex.__all__) == len(set(hypercomplex.__all__))
     assert set(hypercomplex.__all__) == set(names)
     assert all(hasattr(hypercomplex, name) for name in names)

@@ -1,5 +1,9 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -7,52 +11,65 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import classical_escape, lockstep_counts, max_gap
+from conftest import (
+    assert_value_contract,
+    classical_escape,
+    escape_byte,
+    kernel_step,
+    lockstep_counts,
+    max_gap,
+)
 from hypercomplex import (
     CartesianVec,
     FractalConfig,
+    MembershipGrid,
     escape_time,
     export_grid,
-    iterate_first,
-    iterate_second,
     render_grid,
 )
 from hypercomplex import fractal
-from hypercomplex.fractal import _z_slabs, axis_centers, escape_byte
+from hypercomplex.fractal import _byte_array, _z_slabs, axis_centers
 
 ORIGIN = CartesianVec((0.0, 0.0, 0.0))
 
 
-# -- single steps -------------------------------------------------------------
+# -- single steps of the array kernels -------------------------------------------
 
-def test_iterate_first_from_origin_returns_c():
-    c = CartesianVec((0.3, -0.2, 0.9))
-    assert iterate_first(ORIGIN, c) == c
-
-
-def test_iterate_first_axis_state_uses_zero_longitude():
-    got = iterate_first(CartesianVec((0.0, 0.0, 1.0)), ORIGIN)
-    assert got.components == (-1.0, 0.0, 0.0)
+def test_step_first_from_origin_returns_c():
+    rng = random.Random(3)
+    cs = [(0.3, -0.2, 0.9)] + [
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)
+    ]
+    assert kernel_step("first", [ORIGIN.components] * len(cs), cs) == cs
 
 
-def test_iterate_first_matches_cartesian_self_product():
+def test_step_first_axis_state_uses_zero_longitude():
+    # a pure z-axis state squares with longitude 0: (0, 0, z)^2 = (-z^2, 0, 0)
+    zs = [1.0, -1.0, 0.5, -1.75, 3.0]
+    got = kernel_step("first", [(0.0, 0.0, z) for z in zs], ORIGIN.components)
+    assert got[0] == (-1.0, 0.0, 0.0)
+    assert got == [(-z * z, 0.0, 0.0) for z in zs]
+
+
+def test_step_first_matches_cartesian_self_product():
     from hypercomplex import mul_cartesian
 
     rng = random.Random(4)
-    for _ in range(200):
-        s = CartesianVec((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)))
-        c = CartesianVec((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)))
-        got = iterate_first(s, c)
-        want = mul_cartesian(s, s) + c
-        assert max_gap(got.components, want.components) < 1e-12
+    states, cs = [], []
+    for _ in range(1000):
+        states.append((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        cs.append((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    for s, c, got in zip(states, cs, kernel_step("first", states, cs)):
+        want = mul_cartesian(CartesianVec(s), CartesianVec(s)) + CartesianVec(c)
+        assert max_gap(got, want.components) < 1e-12
 
 
-def test_iterate_second_examples():
-    c = CartesianVec((0.4, 0.1, -0.7))
-    assert iterate_second(ORIGIN, c) == c
-    assert iterate_second(CartesianVec((1.0, 0.0, 0.0)), ORIGIN).components == (1.0, 0.0, 0.0)
-    got = iterate_second(CartesianVec((0.0, 1.0, 0.0)), ORIGIN)
-    assert max_gap(got.components, (-1.0, 0.0, 0.0)) < 1e-12
+def test_step_second_examples():
+    c = (0.4, 0.1, -0.7)
+    assert kernel_step("second", [ORIGIN.components], c) == [c]
+    assert kernel_step("second", [(1.0, 0.0, 0.0)], ORIGIN.components) == [(1.0, 0.0, 0.0)]
+    [got] = kernel_step("second", [(0.0, 1.0, 0.0)], ORIGIN.components)
+    assert max_gap(got, (-1.0, 0.0, 0.0)) < 1e-12
 
 
 def _trig_second_step(x, y, z, cx, cy, cz):
@@ -80,17 +97,16 @@ def _trig_second_step(x, y, z, cx, cy, cz):
     )
 
 
-def test_iterate_second_agrees_with_trig_reference():
+def test_step_second_agrees_with_trig_reference():
     rng = random.Random(8)
     states = [
         (0.0, 0.0, 1.3), (0.0, -1.1, 0.4), (0.0, 0.7, -0.2), (-0.5, 0.0, 0.8),
         (-0.5, 0.0, -0.8), (1.2, 0.0, 0.0), (0.0, 0.0, -2.0),
     ]
     states += [
-        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(300)
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(1000)
     ]
-    for s in states:
-        got = iterate_second(CartesianVec(s), ORIGIN).components
+    for s, got in zip(states, kernel_step("second", states, ORIGIN.components)):
         want = _trig_second_step(*s, 0.0, 0.0, 0.0)
         scale = 1.0 + sum(v * v for v in s)
         assert max_gap(got, want) <= 1e-12 * scale
@@ -104,6 +120,12 @@ def test_escape_time_reference_points():
     assert escape_time(CartesianVec((3.0, 0.0, 0.0)), cfg) == 1
     assert escape_time(CartesianVec((-1.0, 0.0, 0.0)), cfg) == cfg.n_max
     assert classical_escape(-1.0, 0.0, cfg.n_max) == cfg.n_max
+
+
+@pytest.mark.parametrize("components", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+def test_escape_time_rejects_points_outside_3d(components):
+    with pytest.raises(ValueError, match="expected dimension 3"):
+        escape_time(CartesianVec(components), FractalConfig())
 
 
 def test_escape_time_matches_grid_cells():
@@ -154,11 +176,10 @@ def test_second_approach_slice_survives_exact_axis_hit():
     # z-axis; the plane rule must keep the slice classical even there
     cx = -2.0 + 4.0 * (108 + 0.5) / 192
     cz = -2.0 + 4.0 * (123 + 0.5) / 192
-    state = CartesianVec((0.0, 0.0, 0.0))
-    c = CartesianVec((cx, 0.0, cz))
-    state = iterate_second(state, c)
-    state = iterate_second(state, c)
-    assert state.components[0] == 0.0 and state.components[1] == 0.0
+    c = (cx, 0.0, cz)
+    [state] = kernel_step("second", [ORIGIN.components], c)
+    [state] = kernel_step("second", [state], c)
+    assert state[0] == 0.0 and state[1] == 0.0
     cfg = FractalConfig(approach="second", region=((cx, cx), (0.0, 0.0), (cz, cz)),
                         resolution=(1, 1, 1))
     assert render_grid(cfg).counts[0, 0, 0] == classical_escape(cx, cz, cfg.n_max)
@@ -360,7 +381,7 @@ def test_package_serves_fractal_names():
     ns = {}
     exec("from hypercomplex import *", ns)
     for name in ("FractalConfig", "MembershipGrid", "escape_time", "export_grid",
-                 "iterate_first", "iterate_second", "render_grid"):
+                 "render_grid"):
         assert name in hypercomplex.__all__
         assert ns[name] is getattr(fractal, name)
     with pytest.raises(AttributeError):
@@ -377,6 +398,7 @@ def test_config_validation():
     with pytest.raises(TypeError):  # a float budget would never be reached
         FractalConfig(n_max=2.5)
     assert type(FractalConfig(n_max=np.int64(7)).n_max) is int
+    assert list(map(type, FractalConfig(resolution=(np.int64(2), 3, 4)).resolution)) == [int] * 3
     with pytest.raises(TypeError):  # the radius is fixed at 2: no such field
         FractalConfig(escape_radius=2.5)
     with pytest.raises(ValueError):
@@ -406,13 +428,92 @@ def test_config_rejects_non_finite_slice(value):
         FractalConfig(slice_spec=("z", value))
 
 
+@pytest.mark.parametrize("resolution", [
+    pytest.param((2.5, 4, 4), id="fraction"),
+    pytest.param((4, 4.0, 4), id="integral-float"),
+    pytest.param((4, 4, np.float64(4.0)), id="numpy-float"),
+    pytest.param(("8", 8, 8), id="string"),
+])
+def test_config_rejects_non_integer_resolution(resolution):
+    # a resolution component is a cell count: never truncated or parsed
+    with pytest.raises(TypeError):
+        FractalConfig(resolution=resolution)
+
+
+# -- record contracts ----------------------------------------------------------------
+
+def test_config_is_a_value_record():
+    assert_value_contract(
+        FractalConfig(),
+        "FractalConfig(approach='first', n_max=100, region=((-2.0, 2.0), (-2.0, 2.0), "
+        "(-2.0, 2.0)), resolution=(64, 64, 64), slice_spec=None)",
+        approach="first", n_max=100, region=((-2.0, 2.0),) * 3, resolution=(64, 64, 64),
+        slice_spec=None,
+    )
+    sliced = FractalConfig("second", 7, ((-1, 1), (0, 0), (-0.5, 0.5)), (3, 1, 2), ("y", 0))
+    assert_value_contract(
+        sliced,
+        "FractalConfig(approach='second', n_max=7, region=((-1.0, 1.0), (0.0, 0.0), "
+        "(-0.5, 0.5)), resolution=(3, 1, 2), slice_spec=('y', 0.0))",
+        approach="second", n_max=7, region=((-1.0, 1.0), (0.0, 0.0), (-0.5, 0.5)),
+        resolution=(3, 1, 2), slice_spec=("y", 0.0),
+    )
+
+
+def test_membership_grid_is_a_frozen_record_equal_only_to_itself():
+    grid = render_grid(FractalConfig(n_max=5, resolution=(3, 2, 2)))
+    for name in ("config", "counts"):
+        with pytest.raises(AttributeError):
+            setattr(grid, name, getattr(grid, name))
+        with pytest.raises(AttributeError):
+            delattr(grid, name)
+    twin = MembershipGrid(config=grid.config, counts=grid.counts)
+    assert grid == grid and not grid != grid
+    assert grid != twin and not grid == twin
+    assert grid != (grid.config, grid.counts)
+    assert len({grid, twin, grid}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(grid, protocol))
+        assert type(back) is MembershipGrid and back != grid
+        assert back.config == grid.config
+        assert np.array_equal(back.counts, grid.counts)
+
+
+def test_fractal_import_does_not_load_dataclasses():
+    # a fresh interpreter; modules its site already loaded do not count
+    import hypercomplex
+
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hypercomplex.fractal\n"
+        "print('dataclasses' in set(sys.modules) - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # -- exporters -----------------------------------------------------------------------
 
 def test_escape_byte_mapping():
-    assert escape_byte(100, 100) == 0
-    assert escape_byte(1, 100) == 1
-    assert escape_byte(99, 100) == 1 + (254 * 98) // 99
-    assert escape_byte(1, 2) == 1
+    def byte(n, n_max):
+        return int(_byte_array(np.array([n]), n_max)[0])
+
+    assert byte(100, 100) == 0
+    assert byte(1, 100) == 1
+    assert byte(99, 100) == 1 + (254 * 98) // 99
+    assert byte(1, 2) == 1
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 100, 255, 256, 1000])
+def test_byte_array_matches_scalar_oracle_for_every_count(n_max):
+    data = _byte_array(np.arange(1, n_max + 1), n_max)
+    assert data.dtype == np.uint8
+    assert data.tolist() == [escape_byte(n, n_max) for n in range(1, n_max + 1)]
 
 
 def test_pgm_member_slice_bytes(tmp_path):
