@@ -363,8 +363,10 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
     ``workers > 1`` splits the lattice into z-slabs, at most one per z-plane
-    and one per CPU, computed concurrently; each cell is independent, so the
-    counts are bitwise identical for any worker count.
+    and one per CPU, computed on a thread pool; each cell is independent, so
+    the counts are bitwise identical for any worker count. The threads
+    contend for the GIL between short numpy calls, so two workers are
+    slower than one on the renders measured so far (see the README).
     """
     xs, ys, zs = _cell_axes(cfg)
     slabs = _z_slabs(zs, workers)
@@ -384,9 +386,17 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
 
 def _byte_array(counts: np.ndarray, n_max: int) -> np.ndarray:
     # 0 = member, else 1 + floor(254 (n - 1) / (n_max - 1)); at n_max == 1
-    # every count is 1, a member, so the divisor never matters
-    scaled = 1 + (254 * (counts - 1)) // max(n_max - 1, 1)
-    return np.where(counts >= n_max, 0, scaled).astype(np.uint8)
+    # every count is 1, a member, so the divisor never matters. 254 n wraps
+    # int32 once n > 8.45 million, so only larger budgets scale in int64: an
+    # int64 temporary of the whole lattice raises the voxel export's peak
+    # memory. The steps run in place, so there is one such temporary.
+    wide = n_max > (2**31 - 1) // 254
+    data = np.multiply(counts, 254, dtype=np.int64 if wide else np.int32)
+    data -= 254
+    data //= max(n_max - 1, 1)
+    data += 1
+    data[counts >= n_max] = 0
+    return data.astype(np.uint8)
 
 
 def _slice_plane(grid: MembershipGrid):
@@ -411,25 +421,27 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
         data = _byte_array(plane, cfg.n_max)
         with open(destination, "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            for row in range(height - 1, -1, -1):  # top row = highest coordinate
-                fh.write(data[:, row].tobytes())
+            fh.write(data[:, ::-1].T.tobytes())  # top row = highest coordinate
     elif fmt == "csv":
-        # each centre is formatted once per axis, each escape suffix once per
-        # count up to the largest escape count present, and members (count
-        # n_max) are clipped to the last slot, -1; one write per z-plane
-        # bounds the memory
+        # A row is "x,y," + "z,n\n". The "x,y," prefixes are formatted once
+        # per (x, y) column and sit in the even slots of one list; per
+        # z-plane, the "z,n\n" suffixes are built once per count up to the
+        # largest escape count present (members, count n_max, are clipped to
+        # the last slot, -1), and indexing that table by the plane's counts
+        # refills the odd slots. One join and one write per z-plane bound the
+        # memory.
         xs, ys, zs = ([f"{v:.9e}" for v in axis] for axis in _cell_axes(cfg))
         top = 1 + int(np.max(grid.counts, where=grid.counts < cfg.n_max, initial=0))
         tails = [f",{n}\n" for n in range(top)] + [",-1\n"]
+        parts = [""] * (2 * len(xs) * len(ys))
+        parts[::2] = [f"{xc},{yc}," for yc in ys for xc in xs]
         with open(destination, "w", encoding="ascii") as fh:
             fh.write("x,y,z,escape\n")
             for iz, zc in enumerate(zs):
-                plane = np.minimum(grid.counts[:, :, iz], top).T.tolist()  # plane[iy][ix]
-                fh.write("".join(
-                    f"{xc},{yc},{zc}{tails[n]}"
-                    for yc, row in zip(ys, plane)
-                    for xc, n in zip(xs, row)
-                ))
+                ends = np.array([zc + tail for tail in tails], dtype=object)
+                plane = np.minimum(grid.counts[:, :, iz], top).T  # plane[iy, ix]
+                parts[1::2] = ends[plane.ravel()].tolist()
+                fh.write("".join(parts))
     elif fmt == "voxel_raw":
         data = _byte_array(grid.counts, cfg.n_max)
         with open(destination, "wb") as fh:

@@ -507,6 +507,13 @@ def test_escape_byte_mapping():
     assert byte(1, 100) == 1
     assert byte(99, 100) == 1 + (254 * 98) // 99
     assert byte(1, 2) == 1
+    # int32 counts on both sides of (2**31 - 1) // 254: the scaled product
+    # must not wrap
+    edge = (2**31 - 1) // 254
+    for n, n_max in ((edge - 1, edge), (edge, edge + 1), (10**7, 10**8), (2**31 - 2, 2**31 - 1)):
+        data = _byte_array(np.array([n], dtype=np.int32), n_max)
+        assert int(data[0]) == escape_byte(n, n_max)
+    assert escape_byte(10**7, 10**8) == 26
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 100, 255, 256, 1000])
@@ -578,10 +585,21 @@ def test_csv_suffix_table_follows_the_counts_not_n_max(tmp_path):
     assert out.read_text() == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
 
 
-@pytest.mark.parametrize("n_max", [1, 3, 20])
-def test_csv_whole_file_matches_plain_rows(tmp_path, n_max):
-    cfg = FractalConfig(n_max=n_max, region=((-1.5, 1.0), (-1.2, 1.2), (-0.9, 0.3)),
-                        resolution=(7, 5, 3))
+_CSV_BOX = (((-1.5, 1.0), (-1.2, 1.2), (-0.9, 0.3)), (7, 5, 3))
+
+
+@pytest.mark.parametrize("n_max, region, resolution", [
+    pytest.param(1, *_CSV_BOX, id="1"),
+    pytest.param(3, *_CSV_BOX, id="3"),
+    pytest.param(20, *_CSV_BOX, id="20"),
+    # x prints with three-digit exponents and y with two- and three-digit
+    # ones of either sign, so the field widths vary between cells
+    pytest.param(20, ((1e100, 3e100), (-3e100, 3e100), (-0.9, 0.3)), (4, 4, 2),
+                 id="three-digit-exponents"),
+    pytest.param(20, ((-0.5, -0.5), (-1.2, 1.2), (0.0, 0.0)), (1, 4, 1), id="one-column"),
+])
+def test_csv_whole_file_matches_plain_rows(tmp_path, n_max, region, resolution):
+    cfg = FractalConfig(n_max=n_max, region=region, resolution=resolution)
     grid = render_grid(cfg)
     out = tmp_path / "grid.csv"
     export_grid(grid, "csv", out)
