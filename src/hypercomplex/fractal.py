@@ -387,11 +387,9 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
 def _byte_array(counts: np.ndarray, n_max: int) -> np.ndarray:
     # 0 = member, else 1 + floor(254 (n - 1) / (n_max - 1)); at n_max == 1
     # every count is 1, a member, so the divisor never matters. 254 n wraps
-    # int32 once n > 8.45 million, so only larger budgets scale in int64: an
-    # int64 temporary of the whole lattice raises the voxel export's peak
-    # memory. The steps run in place, so there is one such temporary.
-    wide = n_max > (2**31 - 1) // 254
-    data = np.multiply(counts, 254, dtype=np.int64 if wide else np.int32)
+    # int32 once n > 8.45 million, so the product is taken in int64, and the
+    # steps run in place so there is one such temporary.
+    data = np.multiply(counts, 254, dtype=np.int64)
     data -= 254
     data //= max(n_max - 1, 1)
     data += 1
@@ -423,13 +421,10 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fh.write(data[:, ::-1].T.tobytes())  # top row = highest coordinate
     elif fmt == "csv":
-        # A row is "x,y," + "z,n\n". The "x,y," prefixes are formatted once
-        # per (x, y) column and sit in the even slots of one list; per
-        # z-plane, the "z,n\n" suffixes are built once per count up to the
-        # largest escape count present (members, count n_max, are clipped to
-        # the last slot, -1), and indexing that table by the plane's counts
-        # refills the odd slots. One join and one write per z-plane bound the
-        # memory.
+        # Members (count n_max) are clipped to the last suffix slot, -1. A
+        # plane with fewer cells than suffixes joins its suffixes per cell,
+        # so no plane costs more than its size. One join and one write per
+        # z-plane bound the memory.
         xs, ys, zs = ([f"{v:.9e}" for v in axis] for axis in _cell_axes(cfg))
         top = 1 + int(np.max(grid.counts, where=grid.counts < cfg.n_max, initial=0))
         tails = [f",{n}\n" for n in range(top)] + [",-1\n"]
@@ -438,9 +433,12 @@ def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write("x,y,z,escape\n")
             for iz, zc in enumerate(zs):
-                ends = np.array([zc + tail for tail in tails], dtype=object)
-                plane = np.minimum(grid.counts[:, :, iz], top).T  # plane[iy, ix]
-                parts[1::2] = ends[plane.ravel()].tolist()
+                plane = np.minimum(grid.counts[:, :, iz], top).T.ravel()  # [iy, ix]
+                if len(tails) <= plane.size:
+                    ends = np.array([zc + tail for tail in tails], dtype=object)
+                    parts[1::2] = ends[plane].tolist()
+                else:
+                    parts[1::2] = [zc + tails[n] for n in plane.tolist()]
                 fh.write("".join(parts))
     elif fmt == "voxel_raw":
         data = _byte_array(grid.counts, cfg.n_max)

@@ -597,6 +597,8 @@ _CSV_BOX = (((-1.5, 1.0), (-1.2, 1.2), (-0.9, 0.3)), (7, 5, 3))
     pytest.param(20, ((1e100, 3e100), (-3e100, 3e100), (-0.9, 0.3)), (4, 4, 2),
                  id="three-digit-exponents"),
     pytest.param(20, ((-0.5, -0.5), (-1.2, 1.2), (0.0, 0.0)), (1, 4, 1), id="one-column"),
+    # one cell per z-plane, fewer than the suffixes
+    pytest.param(20, ((0.3, 0.3), (0.0, 0.0), (-1.5, 1.5)), (1, 1, 16), id="thin"),
 ])
 def test_csv_whole_file_matches_plain_rows(tmp_path, n_max, region, resolution):
     cfg = FractalConfig(n_max=n_max, region=region, resolution=resolution)
