@@ -4,7 +4,7 @@ Values are entered as comma-separated numbers: ``r,theta2,...,thetaN`` in
 radians for ``--form spherical`` (the default) or ``x1,...,xN`` for
 ``--form cartesian``; results come back in the same form.  Text output
 prints 9 significant digits; ``--format json-lines`` carries full binary
-precision; ``--format csv`` adds a header row.
+precision; ``--format csv`` adds one header row per command.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
 longitude, a result modulus past the float range, a fractal box or slice
@@ -129,76 +129,47 @@ def fmt_significant(v: float) -> str:
     return "%.9g" % v
 
 
-def emit_value(value, fmt: str, out=None) -> None:
+def emit_value(value, fmt: str) -> None:
     """Print one result value in the requested format (used verbatim by the
     round-trip fidelity contract: CLI bytes == library result + this)."""
-    out = out or sys.stdout
-    spherical = isinstance(value, SphericalForm)
-    seq = (value.modulus, *value.args) if spherical else value.components
-    if fmt == "text":
-        print(",".join(fmt_significant(v) for v in seq), file=out)
-    elif fmt == "json-lines":
-        if spherical:
-            obj = {"form": "spherical", "modulus": value.modulus, "args": list(value.args)}
+    _emit((value,), fmt)
+
+
+def _emit(values, fmt: str) -> None:
+    for k, value in enumerate(values):
+        spherical = isinstance(value, SphericalForm)
+        seq = (value.modulus, *value.args) if spherical else value.components
+        if fmt == "text":
+            print(",".join(fmt_significant(v) for v in seq))
+        elif fmt == "json-lines":
+            if spherical:
+                obj = {"form": "spherical", "modulus": value.modulus, "args": list(value.args)}
+            else:
+                obj = {"form": "cartesian", "components": list(value.components)}
+            print(json.dumps(obj))
         else:
-            obj = {"form": "cartesian", "components": list(value.components)}
-        print(json.dumps(obj), file=out)
-    else:
-        if spherical:
-            header = "r," + ",".join(f"theta{k}" for k in range(2, value.dim + 1))
-        else:
-            header = ",".join(f"x{k}" for k in range(1, value.dim + 1))
-        print(header, file=out)
-        print(",".join("%.17g" % v for v in seq), file=out)
+            if k == 0:  # one header per command, even for several roots
+                if spherical:
+                    print("r," + ",".join(f"theta{j}" for j in range(2, value.dim + 1)))
+                else:
+                    print(",".join(f"x{j}" for j in range(1, value.dim + 1)))
+            print(",".join("%.17g" % v for v in seq))
 
 
 # -- value subcommands --------------------------------------------------------
 
-def _cmd_mul(args) -> int:
-    fmt = _resolve_format(args)
-    a = _parse_value(args.values[0], args.form, args.dim)
-    b = _parse_value(args.values[1], args.form, args.dim)
-    if args.form == "spherical":
-        emit_value(mul_geometric(a, b), fmt)
-    else:
-        emit_value(mul_cartesian(a, b, _fallback_for(args, 0), _fallback_for(args, 1)), fmt)
-    return 0
-
-
-def _cmd_add(args) -> int:
-    fmt = _resolve_format(args)
-    a = _parse_value(args.values[0], args.form, args.dim)
-    b = _parse_value(args.values[1], args.form, args.dim)
-    if args.form == "spherical":
-        total = add(to_cartesian(a), to_cartesian(b))
-        emit_value(to_spherical(total, _fallback_for(args, 0)), fmt)
-    else:
-        emit_value(add(a, b), fmt)
-    return 0
-
-
-def _cmd_spherical(args) -> int:
-    """Commands whose operands are geometric forms: cartesian operand i
-    converts with --fallback i, and results come back in the input's form."""
-    fmt = _resolve_format(args)
+def _cmd_value(args) -> int:
+    """Spherical operands go to the command's geometric op as given, and
+    cartesian ones to its cartesian op.  A command without a cartesian op
+    converts cartesian operand i with --fallback i, runs the geometric op
+    and converts its results back."""
+    op = args.op if args.form == "spherical" else args.cartesian_op
     operands = []
     for i, values in enumerate(args.values):
         h = _parse_value(values, args.form, args.dim)
-        operands.append(h if args.form == "spherical" else to_spherical(h, _fallback_for(args, i)))
-    for result in args.op(args, *operands):
-        emit_value(result if args.form == "spherical" else to_cartesian(result), fmt)
-    return 0
-
-
-def _cmd_convert(args) -> int:
-    fmt = _resolve_format(args)
-    value = _parse_value(args.values[0], args.form, args.dim)
-    if args.to == args.form:
-        emit_value(value, fmt)
-    elif args.to == "cartesian":
-        emit_value(to_cartesian(value), fmt)
-    else:
-        emit_value(to_spherical(value, _fallback_for(args, 0)), fmt)
+        operands.append(h if op else to_spherical(h, _fallback_for(args, i)))
+    results = op(args, *operands) if op else map(to_cartesian, args.op(args, *operands))
+    _emit(results, args.format)
     return 0
 
 
@@ -207,22 +178,27 @@ def _cmd_convert(args) -> int:
 def _cmd_property_check(args) -> int:
     from . import checks  # only this command runs the probes
 
-    fmt = _resolve_format(args)
+    fmt = args.format
     results = checks.run_property_checks(seed=args.seed, trials=args.trials)
+    if fmt == "csv":
+        import csv  # details hold commas and quotes
+
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(("name", "result", "detail"))
     failed = False
     for res in results:
         failed |= not res.passed
         if fmt == "json-lines":
             print(json.dumps({"name": res.name, "passed": res.passed, "detail": res.detail}))
         elif fmt == "csv":
-            print(f"{res.name},{'pass' if res.passed else 'fail'},{res.detail!r}")
+            rows.writerow((res.name, "pass" if res.passed else "fail", res.detail))
         else:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     return 1 if failed else 0
 
 
 def _cmd_relativity_check(args) -> int:
-    fmt = _resolve_format(args)
+    fmt = args.format
     pairs = []
     deltas = [relativity.EventDelta(*d) for d in (args.delta or [])]
     betas = args.beta or []
@@ -286,7 +262,7 @@ def _cmd_fractal(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 # One parser per process: building it costs milliseconds, and parse_args
-# leaves it unchanged.  The output format is resolved when a command runs.
+# leaves it unchanged.  main resolves the output format after parsing.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -308,25 +284,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def val_cmd(name, helptext, nvalues, fn=_cmd_spherical, op=None):
+    # op(args, *operands) returns the results; see _cmd_value for the forms
+    def val_cmd(name, helptext, nvalues, op, cartesian_op=None):
         p = sub.add_parser(name, parents=[value], help=helptext)
         p.add_argument("values", type=_floats, nargs=nvalues, metavar="VALUE")
-        p.set_defaults(func=fn, op=op)
+        p.set_defaults(func=_cmd_value, op=op, cartesian_op=cartesian_op)
         return p
 
-    val_cmd("mul", "multiply two values", 2, _cmd_mul)
-    val_cmd("add", "add two values", 2, _cmd_add)
-    val_cmd("inv", "multiplicative inverse", 1, op=lambda a, h: [inverse(h)])
-    val_cmd("div", "divide two values", 2, op=lambda a, x, y: [divide(x, y)])
-    p = val_cmd("pow", "integer power", 1, op=lambda a, h: [pow_int(h, a.exponent)])
+    val_cmd("mul", "multiply two values", 2, lambda a, x, y: [mul_geometric(x, y)],
+            lambda a, x, y: [mul_cartesian(x, y, _fallback_for(a, 0), _fallback_for(a, 1))])
+    val_cmd("add", "add two values", 2,
+            lambda a, x, y: [to_spherical(add(to_cartesian(x), to_cartesian(y)),
+                                          _fallback_for(a, 0))],
+            lambda a, x, y: [add(x, y)])
+    val_cmd("inv", "multiplicative inverse", 1, lambda a, h: [inverse(h)])
+    val_cmd("div", "divide two values", 2, lambda a, x, y: [divide(x, y)])
+    p = val_cmd("pow", "integer power", 1, lambda a, h: [pow_int(h, a.exponent)])
     p.add_argument("--exponent", "-m", type=int, required=True)
-    p = val_cmd("convert", "convert between forms", 1, _cmd_convert)
+    p = val_cmd("convert", "convert between forms", 1,
+                lambda a, h: [h if a.to == "spherical" else to_cartesian(h)],
+                lambda a, h: [h if a.to == "cartesian" else to_spherical(h, _fallback_for(a, 0))])
     p.add_argument("--to", choices=("spherical", "cartesian"), required=True)
     p = val_cmd("roots", "all distinct m-th roots, one per line", 1,
-                op=lambda a, h: extensions.nth_roots(h, a.degree).roots)
+                lambda a, h: extensions.nth_roots(h, a.degree).roots)
     p.add_argument("--degree", "-m", type=int, required=True)
     p = val_cmd("conjugate", "conjugate value", 1,
-                op=lambda a, h: [extensions.conjugate(h, a.variant)])
+                lambda a, h: [extensions.conjugate(h, a.variant)])
     p.add_argument("--variant", choices=("full", "second", "third"), default="full")
 
     p = sub.add_parser("property-check", parents=[common],
@@ -373,6 +356,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "format" in args:  # fractal takes no output format
+            args.format = _resolve_format(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -10,10 +12,13 @@ from hypercomplex import (
     CartesianVec,
     DegenerateArgs,
     SphericalForm,
+    add,
     divide,
     inverse,
+    mul_cartesian,
     mul_geometric,
     nth_roots,
+    pow_int,
     to_cartesian,
     to_spherical,
 )
@@ -109,6 +114,26 @@ def test_csv_format_includes_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "x1,x2,x3"
     assert len(lines) == 2
+
+
+def test_csv_writes_one_header_for_several_roots(capsys):
+    code, out, _ = run(capsys, "roots", "-m", "2", "--format", "csv", "4,0,0")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["r", "theta2", "theta3"]
+    assert len(rows) == 5 and all(len(row) == 3 for row in rows)
+
+
+def test_property_check_csv_quotes_the_detail(capsys):
+    from hypercomplex import checks
+
+    code, out, _ = run(capsys, "property-check", "--format", "csv", "--seed", "3", "--trials", "20")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "result", "detail"]
+    want = checks.run_property_checks(seed=3, trials=20)
+    assert rows[1:] == [[r.name, "pass" if r.passed else "fail", r.detail] for r in want]
+    assert any("," in r.detail for r in want)  # the rows a plain join would split
 
 
 def test_env_var_sets_default_format(capsys, monkeypatch):
@@ -340,4 +365,36 @@ def test_unary_commands_read_the_fallback_of_a_degenerate_operand(capsys):
     code, out, _ = run(capsys, "inv", "--form", "cartesian", "--fallback", "0.7", "0,0,4")
     assert code == 0
     _library_text(to_cartesian(inverse(h)))
+    assert capsys.readouterr().out == out
+
+
+_CART = (CartesianVec((1, 2, 3)), CartesianVec((-0.5, 0.25, 2)))
+_DEG = (CartesianVec((0, 0, 3)), CartesianVec((0, 0, -2)))
+_FB = (DegenerateArgs((0.4,)), DegenerateArgs((1.1,)))
+
+
+def _via_spherical(fn, *vecs):
+    return to_cartesian(fn(*(to_spherical(v, fb) for v, fb in zip(vecs, _FB))))
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["mul", "--form", "cartesian", "1,2,3", "-0.5,0.25,2"], lambda: mul_cartesian(*_CART)),
+    (["mul", "--form", "cartesian", "--fallback", "0.4", "--fallback", "1.1", "0,0,3", "0,0,-2"],
+     lambda: mul_cartesian(*_DEG, *_FB)),
+    (["add", "--form", "spherical", "--fallback", "0.4", "0,0,0", "0,0,0"],
+     lambda: to_spherical(add(CartesianVec((0, 0, 0)), CartesianVec((0, 0, 0))), _FB[0])),
+    (["div", "--form", "cartesian", "--fallback", "0.4", "--fallback", "1.1", "1,2,3", "0,0,-2"],
+     lambda: _via_spherical(divide, _CART[0], _DEG[1])),
+    (["pow", "-m", "3", "--form", "cartesian", "--fallback", "0.4", "0,0,3"],
+     lambda: _via_spherical(lambda h: pow_int(h, 3), _DEG[0])),
+    (["convert", "--form", "spherical", "--to", "spherical", "2,0.7,0.1"],
+     lambda: SphericalForm(2, (0.7, 0.1))),
+    (["convert", "--form", "cartesian", "--to", "cartesian", "--fallback", "0.4", "0,0,3"],
+     lambda: _DEG[0]),
+])
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_value_commands_match_the_library_in_both_forms(capsys, argv, want, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    emit_value(want(), fmt)
     assert capsys.readouterr().out == out
