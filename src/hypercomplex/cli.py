@@ -25,6 +25,7 @@ from . import extensions, relativity
 from .core import (
     CartesianVec,
     DegenerateArgs,
+    DegenerateLongitudeError,
     SphericalForm,
     add,
     divide,
@@ -120,6 +121,20 @@ def _fallback_for(args, position: int):
     if position < len(fbs):
         return DegenerateArgs(fbs[position])
     return None
+
+
+def _mul_cartesian(args, x, y):
+    """``mul_cartesian`` with --fallback i for operand i; a degenerate operand
+    without one is named by its position and the flag it needs."""
+    try:
+        return [mul_cartesian(x, y, _fallback_for(args, 0), _fallback_for(args, 1))]
+    except DegenerateLongitudeError as exc:
+        i = 1 if str(exc).startswith("left") else 2  # the library names the side
+        raise ValueError(
+            f"operand {i} has unrecoverable longitudes (leading components are zero); "
+            f"pass them as the {('first', 'second')[i - 1]} --fallback "
+            "(the i-th --fallback belongs to operand i)"
+        ) from exc
 
 
 # -- output ------------------------------------------------------------------
@@ -253,7 +268,9 @@ def _cmd_fractal(args) -> int:
             save_as = "csv"
         else:
             save_as = "voxel_raw"
-    grid = fractal.render_grid(cfg, workers=args.workers)
+    # a slice image needs only its plane; the wrote line keeps the full lattice
+    render = fractal._slice_config(cfg) if save_as == "pgm_slice" else cfg
+    grid = fractal.render_grid(render, workers=args.workers)
     fractal.export_grid(grid, save_as, args.out)
     print(f"wrote {args.out} ({save_as}, {'x'.join(map(str, cfg.resolution))}, n_max={cfg.n_max})")
     return 0
@@ -292,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     val_cmd("mul", "multiply two values", 2, lambda a, x, y: [mul_geometric(x, y)],
-            lambda a, x, y: [mul_cartesian(x, y, _fallback_for(a, 0), _fallback_for(a, 1))])
+            _mul_cartesian)
     val_cmd("add", "add two values", 2,
             lambda a, x, y: [to_spherical(add(to_cartesian(x), to_cartesian(y)),
                                           _fallback_for(a, 0))],

@@ -397,14 +397,33 @@ def _byte_array(counts: np.ndarray, n_max: int) -> np.ndarray:
     return data.astype(np.uint8)
 
 
+def _slice_index(cfg: FractalConfig) -> tuple[int, int, float]:
+    """Axis, index and centre of the sliced plane: the lattice plane whose
+    centre is nearest the slice value, the lower one on a tie."""
+    if cfg.slice_spec is None:
+        raise ValueError("config has no slice; pgm_slice needs one")
+    axis, value = cfg.slice_spec
+    ai = _AXES.index(axis)
+    centers = _cell_axes(cfg)[ai]
+    idx = int(np.argmin(np.abs(centers - value)))
+    return ai, idx, float(centers[idx])
+
+
+def _slice_config(cfg: FractalConfig) -> FractalConfig:
+    """The one-plane config of a sliced ``cfg``: the sliced axis narrowed to
+    the centre c of its chosen plane, at resolution 1.  ``axis_centers(c, c,
+    1)`` is exactly c (a centre is never -0.0), and a cell's count depends
+    only on its own centre, so this render is that plane of the full one,
+    bit for bit, and exports the same ``pgm_slice``."""
+    ai, _, c = _slice_index(cfg)
+    region, res = list(cfg.region), list(cfg.resolution)
+    region[ai], res[ai] = (c, c), 1
+    return FractalConfig(cfg.approach, cfg.n_max, region, res, cfg.slice_spec)
+
+
 def _slice_plane(grid: MembershipGrid):
     """2D view of the sliced plane plus (width, height) image geometry."""
-    if grid.config.slice_spec is None:
-        raise ValueError("config has no slice; pgm_slice needs one")
-    axis, value = grid.config.slice_spec
-    ai = _AXES.index(axis)
-    centers = _cell_axes(grid.config)[ai]
-    idx = int(np.argmin(np.abs(centers - value)))
+    ai, idx, _ = _slice_index(grid.config)
     plane = np.take(grid.counts, idx, axis=ai)
     # remaining axes in (x, y, z) order: first is image width, second height
     return plane, plane.shape[0], plane.shape[1]

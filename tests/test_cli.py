@@ -310,6 +310,71 @@ def test_fractal_writes_pgm(capsys, tmp_path):
     assert str(out_path) in out
 
 
+_SLICED = ("second", 30, ((-1.9, 1.1), (-1.2, 1.6), (-1.4, 1.3)), (9, 7, 6), ("y", 0.3))
+
+
+def _render_spy(monkeypatch):
+    from hypercomplex import fractal
+
+    seen = []
+    real = fractal.render_grid
+
+    def spy(cfg, workers=1):
+        seen.append(cfg)
+        return real(cfg, workers)
+
+    monkeypatch.setattr(fractal, "render_grid", spy)
+    return fractal, real, seen
+
+
+def _sliced_argv(out_path):
+    approach, n_max, region, res, (axis, value) = _SLICED
+    return ["fractal", "--approach", approach, "--nmax", str(n_max),
+            "--region=" + ",".join(f"{lo}:{hi}" for lo, hi in region),
+            "--res", ",".join(map(str, res)), "--slice", f"{axis}={value}",
+            "--out", str(out_path)]
+
+
+def test_fractal_pgm_slice_renders_only_its_plane(capsys, tmp_path, monkeypatch):
+    fractal, real, seen = _render_spy(monkeypatch)
+    full = fractal.FractalConfig(*_SLICED)
+    out_path = tmp_path / "s.pgm"
+    code, out, _ = run(capsys, *_sliced_argv(out_path))
+    assert code == 0
+    assert out == f"wrote {out_path} (pgm_slice, 9x7x6, n_max=30)\n"
+    [cfg] = seen
+    c = fractal.axis_centers(-1.2, 1.6, 7)[3]  # 0.3 is nearest the centre 0.2
+    assert cfg.resolution == (9, 1, 6)
+    assert cfg.region == (full.region[0], (c, c), full.region[2])
+    assert (cfg.approach, cfg.n_max, cfg.slice_spec) == ("second", 30, ("y", 0.3))
+    want = tmp_path / "want.pgm"
+    fractal.export_grid(real(full), "pgm_slice", want)
+    assert out_path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("ext, fmt", [("csv", "csv"), ("raw", "voxel_raw")])
+def test_fractal_slice_with_other_outputs_renders_the_full_lattice(capsys, tmp_path,
+                                                                   monkeypatch, ext, fmt):
+    fractal, real, seen = _render_spy(monkeypatch)
+    full = fractal.FractalConfig(*_SLICED)
+    out_path = tmp_path / f"s.{ext}"
+    code, out, _ = run(capsys, *_sliced_argv(out_path))
+    assert code == 0
+    assert out == f"wrote {out_path} ({fmt}, 9x7x6, n_max=30)\n"
+    assert seen == [full]
+    want = tmp_path / f"want.{ext}"
+    fractal.export_grid(real(full), fmt, want)
+    assert out_path.read_bytes() == want.read_bytes()
+
+
+def test_fractal_pgm_without_a_slice_exits_1(capsys, tmp_path):
+    out_path = tmp_path / "x.pgm"
+    code, out, err = run(capsys, "fractal", "--res", "2,2,2", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: config has no slice; pgm_slice needs one\n"
+    assert not out_path.exists()
+
+
 def test_fractal_voxel_infers_format(capsys, tmp_path):
     out_path = tmp_path / "v.raw"
     code, _, _ = run(
@@ -398,3 +463,15 @@ def test_value_commands_match_the_library_in_both_forms(capsys, argv, want, fmt)
     assert code == 0
     emit_value(want(), fmt)
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("operands, i, nth", [
+    (("0,0,1", "1,2,3"), 1, "first"),
+    (("1,2,3", "0,0,1"), 2, "second"),
+])
+def test_mul_names_the_fallback_a_degenerate_operand_needs(capsys, operands, i, nth):
+    code, out, err = run(capsys, "mul", "--form", "cartesian", *operands)
+    assert code == 1 and out == ""
+    assert err == (f"error: operand {i} has unrecoverable longitudes (leading components are "
+                   f"zero); pass them as the {nth} --fallback "
+                   "(the i-th --fallback belongs to operand i)\n")

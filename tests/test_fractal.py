@@ -28,7 +28,7 @@ from hypercomplex import (
     render_grid,
 )
 from hypercomplex import fractal
-from hypercomplex.fractal import _byte_array, _z_slabs, axis_centers
+from hypercomplex.fractal import _byte_array, _slice_config, _slice_index, _z_slabs, axis_centers
 
 ORIGIN = CartesianVec((0.0, 0.0, 0.0))
 
@@ -535,9 +535,50 @@ def test_pgm_member_slice_bytes(tmp_path):
 
 
 def test_pgm_requires_slice(tmp_path):
+    # the one-plane config the CLI renders for a PGM raises the export's error
     cfg = FractalConfig(resolution=(2, 2, 2))
-    with pytest.raises(ValueError):
-        export_grid(render_grid(cfg), "pgm_slice", tmp_path / "x.pgm")
+    for fails in (lambda: export_grid(render_grid(cfg), "pgm_slice", tmp_path / "x.pgm"),
+                  lambda: _slice_config(cfg)):
+        with pytest.raises(ValueError, match="^config has no slice; pgm_slice needs one$"):
+            fails()
+
+
+# The sliced axis spans [-2, 2] in 8 cells, whose centres -1.75, -1.25, ...,
+# 1.75 are exact, so 0.0 lies exactly midway between planes 3 and 4.
+_SLICE_VALUES = [
+    pytest.param(0.75, 5, id="on-plane"),
+    pytest.param(0.0, 3, id="midway-lower-wins"),
+    pytest.param(3.0, 7, id="above-box"),
+    pytest.param(-2.5, 0, id="below-box"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_max", [1, 100])
+@pytest.mark.parametrize("value, plane", _SLICE_VALUES)
+@pytest.mark.parametrize("approach", ["first", "second"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_one_plane_render_is_the_plane_of_the_full_render(tmp_path, axis, approach, value,
+                                                          plane, n_max, workers):
+    ai = "xyz".index(axis)
+    region = [(-1.3, 0.9), (-1.1, 1.2), (-0.8, 1.4)]
+    res = [9, 7, 6]
+    region[ai], res[ai] = (-2.0, 2.0), 8
+    cfg = FractalConfig(approach, n_max, region, res, (axis, value))
+    assert _slice_index(cfg)[:2] == (ai, plane)
+    one = _slice_config(cfg)
+    c = float(axis_centers(-2.0, 2.0, 8)[plane])
+    want_region, want_res = list(cfg.region), list(cfg.resolution)
+    want_region[ai], want_res[ai] = (c, c), 1
+    assert one == FractalConfig(approach, n_max, want_region, want_res, (axis, value))
+    full = render_grid(cfg)
+    part = render_grid(one, workers=workers)
+    want = np.take(full.counts, plane, axis=ai)
+    assert part.counts.shape == tuple(want_res)
+    assert np.array_equal(np.take(part.counts, 0, axis=ai), want)
+    export_grid(full, "pgm_slice", tmp_path / "full.pgm")
+    export_grid(part, "pgm_slice", tmp_path / "one.pgm")
+    assert (tmp_path / "one.pgm").read_bytes() == (tmp_path / "full.pgm").read_bytes()
 
 
 def test_pgm_orientation_top_row_is_high_coordinate(tmp_path):
