@@ -29,7 +29,7 @@ from .core import (
     to_spherical,
 )
 
-__all__ = ["CheckResult", "run_property_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_property_checks"]
 
 
 class CheckResult(NamedTuple):
@@ -247,8 +247,6 @@ _CHECKS = (
     ("replicate-preserves-point", _check_replicate_preserves_point),
     ("scalar-embedding", _check_scalar_embedding),
 )
-
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def run_property_checks(seed: int = 0, trials: int = 200) -> list[CheckResult]:

@@ -111,9 +111,15 @@ class SphericalForm(_Value):
     def __init__(self, modulus: float, args: Sequence[float]):
         modulus = float(modulus)
         args = tuple(map(float, args))
-        _fill_form(self, modulus, args)  # modulus first; () passes the rest
+        # the modulus is checked first; () passes the argument check
+        if not 0.0 <= modulus < math.inf:
+            raise ValueError(f"modulus must be finite and >= 0, got {modulus}")
+        if not all(map(math.isfinite, args)):
+            raise ValueError("arguments must be finite")
         if not args:
             raise ValueError("need at least one argument (dimension >= 2)")
+        _put_modulus(self, modulus)
+        _put_args(self, args)
 
     @property
     def dim(self) -> int:
@@ -145,7 +151,9 @@ class CartesianVec(_Value):
         components = tuple(map(float, components))
         if len(components) < 2:
             raise ValueError("need at least two components (dimension >= 2)")
-        _fill_vec(self, components)
+        if not all(map(math.isfinite, components)):
+            raise ValueError("components must be finite")
+        _put_components(self, components)
 
     @property
     def dim(self) -> int:
@@ -193,38 +201,29 @@ _put_args = SphericalForm.args.__set__
 _put_components = CartesianVec.components.__set__
 
 
-def _fill_form(h: SphericalForm, r: float, args: tuple[float, ...]) -> None:
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"modulus must be finite and >= 0, got {r}")
-    if not all(map(math.isfinite, args)):
-        raise ValueError("arguments must be finite")
-    _put_modulus(h, r)
-    _put_args(h, args)
-
-
-def _fill_vec(v: CartesianVec, components: tuple[float, ...]) -> None:
-    if not all(map(math.isfinite, components)):
-        raise ValueError("components must be finite")
-    _put_components(v, components)
-
-
 def _form(r: float, args: Sequence[float], canonical: bool = True) -> SphericalForm:
     """Internal constructor for a form the library computed from valid
     values.  Its inputs are floats already, so it skips the coercion, but it
-    keeps the checks: a product or power can overflow.  ``canonical``
-    reduces the arguments once they are known finite (``_canonical_args``
-    cannot take an infinite one); without it ``args`` must be a tuple."""
+    keeps the checks: a product or power can overflow, and the error says
+    so.  ``canonical`` reduces the arguments once they are known finite
+    (``_canonical_args`` cannot take an infinite one); without it ``args``
+    must be a tuple."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"result modulus overflowed to {r}")
+    if not all(map(math.isfinite, args)):
+        raise ValueError("result arguments overflowed")
     h = _new(SphericalForm)
-    _fill_form(h, r, args)
-    if canonical:
-        _put_args(h, _canonical_args(args))
+    _put_modulus(h, r)
+    _put_args(h, _canonical_args(args) if canonical else args)
     return h
 
 
 def _vec(components: tuple[float, ...]) -> CartesianVec:
     """Internal constructor for computed float components, still checked."""
+    if not all(map(math.isfinite, components)):
+        raise ValueError("result components overflowed")
     v = _new(CartesianVec)
-    _fill_vec(v, components)
+    _put_components(v, components)
     return v
 
 

@@ -12,7 +12,7 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
 
 Each approach has a single array step kernel.  The lattice render and the
 one-cell ``escape_time`` both run it, so per-cell results are bitwise
-independent of grid shape, tiling and parallelism.
+independent of grid shape and tiling.
 
 The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
@@ -35,9 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -353,31 +351,20 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     return counts.reshape(shape)
 
 
-def _z_slabs(zs: np.ndarray, workers: int) -> list[np.ndarray]:
-    """Split the z-axis into one slab per worker, at most one per z-plane
-    and one per CPU."""
-    return np.array_split(zs, min(max(workers, 1), len(zs), os.cpu_count() or 1))
-
-
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
-    ``workers > 1`` splits the lattice into z-slabs, at most one per z-plane
-    and one per CPU, computed on a thread pool; each cell is independent, so
-    the counts are bitwise identical for any worker count. The threads
-    contend for the GIL between short numpy calls, so two workers are
-    slower than one on the renders measured so far (see the README).
+    ``workers`` is a z-slab count: the lattice is split into
+    ``min(workers, nz)`` z-slabs, at least one, rendered in turn on the
+    calling thread.  Each cell is independent, so the counts are bitwise
+    identical for any slab count.
     """
     xs, ys, zs = _cell_axes(cfg)
-    slabs = _z_slabs(zs, workers)
+    slabs = np.array_split(zs, min(max(workers, 1), len(zs)))
     if len(slabs) == 1:
-        # A single slab runs on the calling thread: a pool thread would get
-        # its own malloc arena and raise peak memory for no parallelism.
         counts = _render_block(cfg, xs, ys, zs)
     else:
-        with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-            parts = pool.map(lambda zslab: _render_block(cfg, xs, ys, zslab), slabs)
-            counts = np.concatenate(list(parts), axis=2)
+        counts = np.concatenate([_render_block(cfg, xs, ys, zslab) for zslab in slabs], axis=2)
     counts.flags.writeable = False
     return MembershipGrid(config=cfg, counts=counts)
 

@@ -167,6 +167,22 @@ def test_pow_overflow_exits_1(capsys):
     assert err == "error: modulus 1e+200 ** 2 overflows\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mul", "1e200,0.1,0.2", "1e200,0.1,0.2"), "result modulus overflowed to inf"),
+    (("div", "1e200,0.1,0.2", "1e-200,0.1,0.2"), "result modulus overflowed to inf"),
+    (("inv", "1e-320,0.1,0.2"), "result modulus overflowed to inf"),
+    (("add", "1e308,0,0", "1e308,0,0"), "result components overflowed"),
+    (("add", "--form", "cartesian", "1.7e308,0,0", "1.7e308,0,0"), "result components overflowed"),
+    (("mul", "--form", "cartesian", "1e200,1e200,1e200", "1e200,1e200,1e200"),
+     "result components overflowed"),
+], ids=["mul", "div", "inv", "add", "add-cartesian", "mul-cartesian"])
+def test_overflowed_results_exit_1_and_name_the_overflow(capsys, argv, message):
+    # a finite input whose result leaves the float range is not a bad input
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mul", "1,0,0")[0] == 2           # missing second value

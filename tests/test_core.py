@@ -112,28 +112,34 @@ def test_constructor_error_messages(make, message):
 
 @pytest.mark.parametrize("compute, message", [
     (lambda: mul_geometric(SphericalForm(1e200, (0.1, 0.2)), SphericalForm(1e200, (0.3, 0.4))),
-     "modulus must be finite and >= 0, got inf"),
+     "result modulus overflowed to inf"),
+    (lambda: divide(SphericalForm(1e200, (0.1, 0.2)), SphericalForm(1e-200, (0.1, 0.2))),
+     "result modulus overflowed to inf"),
     (lambda: inverse(SphericalForm(5e-324, (0.1, 0.2))),
-     "modulus must be finite and >= 0, got inf"),
+     "result modulus overflowed to inf"),
+    (lambda: to_spherical(CartesianVec((1.7e308, 1.7e308, 0.0))),
+     "result modulus overflowed to inf"),
     # an argument that overflows is reported before any range reduction,
     # which would fail on an infinite latitude with "math domain error"
-    (lambda: pow_int(SphericalForm(1, (1e308, 0.2)), 3), "arguments must be finite"),
-    (lambda: pow_int(SphericalForm(1, (0.2, 1e308)), 3), "arguments must be finite"),
+    (lambda: pow_int(SphericalForm(1, (1e308, 0.2)), 3), "result arguments overflowed"),
+    (lambda: pow_int(SphericalForm(1, (0.2, 1e308)), 3), "result arguments overflowed"),
     (lambda: mul_geometric(SphericalForm(1, (1e308, 0.2)), SphericalForm(1, (1e308, 0.4))),
-     "arguments must be finite"),
+     "result arguments overflowed"),
     (lambda: mul_geometric(SphericalForm(1, (0.1, 0.2, 1e308)), SphericalForm(1, (0.3, 0.4, 1e308))),
-     "arguments must be finite"),
+     "result arguments overflowed"),
     (lambda: mul_geometric(SphericalForm(1, (0.1, -1e308)), SphericalForm(1, (0.3, -1e308)),
                            canonical=False),
-     "arguments must be finite"),
+     "result arguments overflowed"),
     (lambda: mul_geometric(SphericalForm(1e200, (1e308, 0.2)), SphericalForm(1e200, (1e308, 0.4))),
-     "modulus must be finite and >= 0, got inf"),
+     "result modulus overflowed to inf"),
     (lambda: add(CartesianVec((1.7e308, 0.0)), CartesianVec((1.7e308, 0.0))),
-     "components must be finite"),
+     "result components overflowed"),
+    (lambda: mul_cartesian(CartesianVec((1e200, 1e200, 1e200)), CartesianVec((1e200, 1e200, 1e200))),
+     "result components overflowed"),
 ], ids=[
-    "mul-modulus", "inverse-modulus", "pow-longitude", "pow-latitude", "mul-longitude",
-    "mul-latitude", "raw-mul-args",
-    "mul-modulus-first", "add-components",
+    "mul-modulus", "divide-modulus", "inverse-modulus", "to-spherical-modulus", "pow-longitude",
+    "pow-latitude", "mul-longitude", "mul-latitude", "raw-mul-args",
+    "mul-modulus-first", "add-components", "mul-cartesian-components",
 ])
 def test_computed_values_are_checked(compute, message):
     with pytest.raises(ValueError) as exc:

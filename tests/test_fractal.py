@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from hypercomplex import (
     render_grid,
 )
 from hypercomplex import fractal
-from hypercomplex.fractal import _byte_array, _slice_config, _slice_index, _z_slabs, axis_centers
+from hypercomplex.fractal import _byte_array, _slice_config, _slice_index, axis_centers
 
 ORIGIN = CartesianVec((0.0, 0.0, 0.0))
 
@@ -308,6 +309,32 @@ def test_render_is_deterministic_across_worker_counts():
         assert np.array_equal(a.counts, b.counts)
 
 
+def _negated_pairs(c: np.ndarray) -> np.ndarray:
+    """Indices i of the centres whose mirror c[n-1-i] is exactly -c[i]."""
+    i = np.arange(len(c) // 2)
+    return i[c[i] == -c[len(c) - 1 - i]]
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (-2.0, 2.0, 32), (-2.0, 2.0, 48), (-1.5, 1.5, 40), (-2.0, 2.0, 49), (-0.5, 0.5, 41),
+])
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_exact_mirror_symmetries(approach, lo, hi, n):
+    # every kernel operation commutes with negation under round-to-nearest,
+    # so a cell and its exactly negated mirror have the same count.  second
+    # reads y where an orbit meets x = +-0, so its y-mirror holds only on
+    # even resolutions, which have no x = 0 column.
+    cfg = FractalConfig(approach=approach, region=((lo, hi),) * 3, resolution=(n, n, n))
+    counts = render_grid(cfg).counts
+    c = axis_centers(lo, hi, n)
+    i = _negated_pairs(c)
+    assert len(i) >= n // 4
+    assert (c[i] == -c[n - 1 - i]).all()
+    assert np.array_equal(counts[:, :, i], counts[:, :, n - 1 - i])
+    if approach == "first" or n % 2 == 0:
+        assert np.array_equal(counts[:, i, :], counts[:, n - 1 - i, :])
+
+
 # -- lane pool ---------------------------------------------------------------------
 
 _SMALL_POOL = 64
@@ -354,20 +381,32 @@ def test_render_memory_is_the_counts_plus_one_pool():
     assert peak <= bound <= 8 << 20
 
 
-@pytest.mark.parametrize("workers, cpus, lengths", [
-    (0, 8, [6]),
-    (1, 8, [6]),
-    (3, 8, [2, 2, 2]),
-    (8, 4, [2, 2, 1, 1]),    # capped at the CPU count
-    (8, 16, [1] * 6),        # more workers than z-planes: one slab per plane
-    (8, None, [6]),          # CPU count unknown: one slab
+@pytest.mark.parametrize("workers, lengths", [
+    (0, [6]),
+    (1, [6]),
+    (3, [2, 2, 2]),
+    (4, [2, 2, 1, 1]),
+    (8, [1] * 6),        # more slabs than z-planes: one slab per plane
 ])
-def test_z_slabs_clamp(monkeypatch, workers, cpus, lengths):
-    monkeypatch.setattr(fractal.os, "cpu_count", lambda: cpus)
-    zs = axis_centers(-2.0, 2.0, 6)
-    slabs = _z_slabs(zs, workers)
+def test_workers_is_a_z_slab_count(monkeypatch, workers, lengths):
+    real = fractal._render_block
+    slabs, blocks, threads = [], [], []
+
+    def spy(cfg, xs, ys, zs):
+        slabs.append(zs)
+        threads.append(threading.get_ident())
+        blocks.append(real(cfg, xs, ys, zs))
+        return blocks[-1]
+
+    monkeypatch.setattr(fractal, "_render_block", spy)
+    cfg = FractalConfig(n_max=20, resolution=(3, 2, 6))
+    grid = render_grid(cfg, workers=workers)
+    # the slabs tile the z-axis in order and render in turn on this thread
     assert [len(s) for s in slabs] == lengths
-    assert np.array_equal(np.concatenate(slabs), zs)
+    assert np.array_equal(np.concatenate(slabs), axis_centers(-2.0, 2.0, 6))
+    assert set(threads) == {threading.get_ident()}
+    if len(blocks) == 1:
+        assert grid.counts is blocks[0]  # one slab is returned without a copy
 
 
 def test_single_cell_grid_is_member():
@@ -487,14 +526,14 @@ def test_fractal_import_does_not_load_dataclasses():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import hypercomplex.fractal\n"
-        "print('dataclasses' in set(sys.modules) - before)\n"
+        "print(sorted({'concurrent.futures', 'dataclasses'} & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # -- exporters -----------------------------------------------------------------------
