@@ -18,16 +18,23 @@ The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
 squares come from the lattice axes, and a cell outside radius 2 gets its
 count 1 and never gets a lane.  The other cells go through a fixed pool of
-lanes, allocated once per block and written in place, which a cursor fills
-in lattice order; so a render holds the counts and one pool, not state for
-every cell.  Each iteration squares the state once: ``x^2 - y^2``,
-``x^2 + y^2`` and ``z^2`` feed the escape test and are then reused by the
-next step.  An escaped cell gets its count and leaves the live mask but is
-stepped on with the rest until 1/8 of the pool is dead; then the live lanes
-are packed to the front and the freed lanes take the next cells, so lanes
-that started at different iterations share every pass.  A lane that reaches
-``n_max`` leaves as a member.  The cost follows the cell iterations actually
-run rather than cells x ``n_max``.
+lanes, allocated once per sweep of a block and written in place, which a
+cursor fills in lattice order; so a render holds the counts and one pool,
+not state for every cell.  Each iteration squares the state once:
+``x^2 - y^2``, ``x^2 + y^2`` and ``z^2`` feed the escape test and are then
+reused by the next step.  An escaped cell gets its count and leaves the
+live mask but is stepped on with the rest until 1/8 of the pool is dead;
+then the live lanes are packed to the front and the freed lanes take the
+next cells, so lanes that started at different iterations share every pass.
+A lane that reaches ``n_max`` leaves as a member.  The cost follows the cell
+iterations actually run rather than cells x ``n_max``.
+
+Every kernel operation commutes with negation under round-to-nearest, so
+both approaches are exactly mirror-symmetric in z, and ``first`` in y as well.
+Of each pair of z-planes whose centres negate exactly, and of each such pair
+of y-planes, the render steps only the lower plane and copies it into the
+upper one.  ``second`` reads the sign of y where an orbit meets x = +-0, so
+if a rendered orbit did, it renders its skipped y-planes after all.
 """
 
 from __future__ import annotations
@@ -144,7 +151,9 @@ def _squares(X, Y, Z, D, RHO2, ZZ):
 
 
 # Each kernel takes a state, its _squares and c, and writes the next state
-# into XN, YN and ZN, which it returns.  The squares are scratch: a kernel may
+# into XN, YN and ZN, which it returns followed by the number of lanes whose
+# square read the sign of y (second's rule on x = +-0; first never reads it),
+# the one step that breaks the y-mirror.  The squares are scratch: a kernel may
 # overwrite RHO2, and ZN holds a factor until the new z is computed.  Callers
 # silence numpy's floating-point warnings: 0/0 on degenerate cells is patched
 # over, and an orbit past the float range is inf or NaN, which the escape
@@ -169,7 +178,7 @@ def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
         XN[deg] = CX[deg] - ZZ[deg]
         YN[deg] = CY[deg]
         ZN[deg] = CZ[deg]
-    return XN, YN, ZN
+    return XN, YN, ZN, 0
 
 
 def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
@@ -207,7 +216,7 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
         XN[deg] = CX[deg] - ZZ[deg]
         YN[deg] = CY[deg]
         ZN[deg] = CZ[deg]
-    return XN, YN, ZN
+    return XN, YN, ZN, on_yz.size
 
 
 _STEPS = {"first": _step_first, "second": _step_second}
@@ -238,40 +247,28 @@ _COMPACT_SHARE = 8  # pack and refill the pool once 1/8 of its lanes are dead
 _POOL_LANES = 8192
 
 
-def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
+def _render_block(cfg: FractalConfig, xs, ys, zs, mirror_y=(), skip_z=()) -> np.ndarray:
     # The orbit starts at h_1 = c, the exact step from h_0 = 0, so iteration
     # 1 is the escape test on c.  Its squares separate by axis: the tables
     # D1 = x^2 - y^2 and R1 = x^2 + y^2 per (x, y) column, and z^2 per plane,
     # each the same float operations as in _squares.  A cell outside radius
-    # 2 gets count 1; every other cell is marked in `todo`.
+    # 2 gets count 1; every other cell is marked in `todo`, and _sweep
+    # iterates the marked cells.
     #
-    # The later iterations run on a pool of at most _POOL_LANES lanes, whose
-    # buffers are allocated once and written through out=.  A cursor hands
-    # the marked cells to the pool in lattice order, each at h_1 with the
-    # squares of c taken from the tables; idx maps a lane back to its cell,
-    # and start is the iteration at which the lane held h_1, so a lane that
-    # escapes at iteration n has count n - start + 1.  Each iteration steps
-    # the lanes, squares them once, for the escape test and then the next
-    # step, and tests them.  An escaped lane only leaves `alive`: it is
-    # stepped on, to inf and NaN, and its count is never written again
-    # (new & alive), until 1/8 of the carried lanes are dead.  Then the live
-    # lanes past the first n_alive move into the dead slots before them, and
-    # the cursor refills the slots behind.  The lanes of one refill are a
-    # cohort; on the iteration a cohort reaches n_max, its live lanes leave
-    # as members, whose count n_max is already set.  Once the lattice is
-    # used up the pool shrinks to its live lanes instead.
+    # mirror_y holds the lower index i of each y pair whose centres negate
+    # exactly.  The y-plane ny-1-i is left out of `todo` and copied from
+    # plane i, unless an orbit's square read the sign of y (second's rule on
+    # x = +-0); then the left-out planes take a second sweep.  The z-planes
+    # in skip_z are left out of `todo` too; the caller fills them.
     xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
     shape = (xs.size, ys.size, zs.size)
-    n_max = cfg.n_max
-    step = _STEPS[cfg.approach]
+    upper_y = [ys.size - 1 - i for i in mirror_y]
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
         xx, yy, zz = xs * xs, ys * ys, zs * zs
         D1 = (xx[:, None] - yy).ravel()
         R1 = (xx[:, None] + yy).ravel()
-        CX1 = np.repeat(xs, ys.size)
-        CY1 = np.tile(ys, xs.size)
         # radius-2 escape test on squared moduli, in blocks of about one pool,
         # so no float array the size of the lattice is made; a NaN state
         # never passes it and so stays a member
@@ -281,74 +278,120 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
             for j in range(0, zs.size, cols):
                 np.greater(R1[i:i + rows, None] + zz[j:j + cols], 4.0,
                            out=todo[i:i + rows, j:j + cols])
-        counts = np.where(todo, np.int32(1), np.int32(n_max)).ravel()
-        todo = np.logical_not(todo, out=todo).ravel()
+        counts = np.where(todo, np.int32(1), np.int32(cfg.n_max)).reshape(shape)
+        todo = np.logical_not(todo, out=todo).reshape(shape)
+        todo[:, upper_y] = False
+        todo[:, :, skip_z] = False
+        # flat views: the sweeps write through them into counts and read todo
+        args = (cfg, todo.ravel(), counts.ravel(), np.repeat(xs, ys.size),
+                np.tile(ys, xs.size), zs, D1, R1, zz)
+        if _sweep(*args) and upper_y:
+            # the left-out planes still hold count n_max exactly where c is
+            # inside radius 2 (n_max > 1 here: at 1 nothing is stepped)
+            todo[:] = False
+            for j in upper_y:
+                np.not_equal(counts[:, j], 1, out=todo[:, j])
+            todo[:, :, skip_z] = False
+            _sweep(*args)
+        else:
+            for i, j in zip(mirror_y, upper_y):
+                counts[:, j] = counts[:, i]
+    return counts
 
-        # at n_max = 1 the first test already gave every count
-        size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 1 else 0
-        X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
-        idx = np.empty(size, dtype=np.intp)
-        # int64: the iteration number runs past n_max once a pool of members
-        # has retired and the next one started, so near the int32 bound of
-        # n_max it would overflow int32
-        start = np.empty(size, dtype=np.int64)
-        alive = np.zeros(size, dtype=bool)
-        hit = np.empty(size, dtype=bool)
-        cohorts = deque()
-        cursor = n_alive = 0
-        for n in itertools.count(2):
-            if _COMPACT_SHARE * (alive.size - n_alive) >= alive.size:
-                holes = (~alive[:n_alive]).nonzero()[0]
-                if holes.size:
-                    movers = alive[n_alive:].nonzero()[0] + n_alive
-                    for a in (X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, idx, start):
-                        a[holes] = a[movers]
-                m = n_alive
-                while m < alive.size and cursor < todo.size:
-                    found = todo[cursor:cursor + _POOL_LANES].nonzero()[0]
-                    k = min(found.size, alive.size - m)
-                    if k:
-                        fill = slice(m, m + k)
-                        cells = np.add(found[:k], cursor, out=idx[fill])
-                        col = cells // zs.size
-                        iz = cells - col * zs.size
-                        X[fill] = CX[fill] = CX1[col]
-                        Y[fill] = CY[fill] = CY1[col]
-                        Z[fill] = CZ[fill] = zs[iz]
-                        D[fill] = D1[col]
-                        RHO2[fill] = R1[col]
-                        ZZ[fill] = zz[iz]
-                        start[fill] = n - 1
-                        m += k
-                    cursor += found[k - 1] + 1 if k < found.size else _POOL_LANES
-                if m > n_alive:
-                    cohorts.append(n - 1)
-                if m < alive.size:
-                    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ, idx, start, alive, hit = (
-                        a[:m] for a in (X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ,
-                                        idx, start, alive, hit))
-                if not m:
-                    break
-                alive[:] = True
-                n_alive = m
-            step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
-            X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
-            _squares(X, Y, Z, D, RHO2, ZZ)
-            # the old state's buffer is free until the next step
-            new = np.greater(np.add(RHO2, ZZ, out=XN), 4.0, out=hit)
-            new &= alive
-            n_new = np.count_nonzero(new)
-            if n_new:
-                at = new.nonzero()[0]
-                counts[idx[at]] = n + 1 - start[at]
-                alive[at] = False
-                n_alive -= n_new
-            if cohorts[0] + n_max - 1 == n:
-                done = np.equal(start, cohorts.popleft(), out=hit)
-                done &= alive
-                alive ^= done
-                n_alive -= np.count_nonzero(done)
-    return counts.reshape(shape)
+
+def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs, D1, R1, zz) -> int:
+    # Iterates the cells marked in the flat `todo` and writes their counts;
+    # returns how many lane steps read the sign of y.
+    #
+    # The iterations after the first run on a pool of at most _POOL_LANES
+    # lanes, whose buffers are allocated once and written through out=.  A
+    # cursor hands the marked cells to the pool in lattice order, each at h_1
+    # with the squares of c taken from the tables; idx maps a lane back to
+    # its cell, and start is the iteration at which the lane held h_1, so a
+    # lane that escapes at iteration n has count n - start + 1.  Each
+    # iteration steps the lanes, squares them once, for the escape test and
+    # then the next step, and tests them.  An escaped lane only leaves
+    # `alive`: it is stepped on, to inf and NaN, and its count is never
+    # written again (new & alive), until 1/8 of the carried lanes are dead.
+    # Then the live lanes past the first n_alive move into the dead slots
+    # before them, and the cursor refills the slots behind.  The lanes of one
+    # refill are a cohort; on the iteration a cohort reaches n_max, its live
+    # lanes leave as members, whose count n_max is already set.  Once the
+    # lattice is used up the pool shrinks to its live lanes instead.
+    n_max = cfg.n_max
+    step = _STEPS[cfg.approach]
+    # at n_max = 1 the first test already gave every count
+    size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 1 else 0
+    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
+    idx = np.empty(size, dtype=np.intp)
+    # int64: the iteration number runs past n_max once a pool of members
+    # has retired and the next one started, so near the int32 bound of
+    # n_max it would overflow int32
+    start = np.empty(size, dtype=np.int64)
+    alive = np.zeros(size, dtype=bool)
+    hit = np.empty(size, dtype=bool)
+    cohorts = deque()
+    cursor = n_alive = read_y = 0
+    for n in itertools.count(2):
+        if _COMPACT_SHARE * (alive.size - n_alive) >= alive.size:
+            holes = (~alive[:n_alive]).nonzero()[0]
+            if holes.size:
+                movers = alive[n_alive:].nonzero()[0] + n_alive
+                for a in (X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, idx, start):
+                    a[holes] = a[movers]
+            m = n_alive
+            while m < alive.size and cursor < todo.size:
+                found = todo[cursor:cursor + _POOL_LANES].nonzero()[0]
+                k = min(found.size, alive.size - m)
+                if k:
+                    fill = slice(m, m + k)
+                    cells = np.add(found[:k], cursor, out=idx[fill])
+                    col = cells // zs.size
+                    iz = cells - col * zs.size
+                    X[fill] = CX[fill] = CX1[col]
+                    Y[fill] = CY[fill] = CY1[col]
+                    Z[fill] = CZ[fill] = zs[iz]
+                    D[fill] = D1[col]
+                    RHO2[fill] = R1[col]
+                    ZZ[fill] = zz[iz]
+                    start[fill] = n - 1
+                    m += k
+                cursor += found[k - 1] + 1 if k < found.size else _POOL_LANES
+            if m > n_alive:
+                cohorts.append(n - 1)
+            if m < alive.size:
+                X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ, idx, start, alive, hit = (
+                    a[:m] for a in (X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ,
+                                    idx, start, alive, hit))
+            if not m:
+                return read_y
+            alive[:] = True
+            n_alive = m
+        *_, reads = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+        read_y += reads
+        X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
+        _squares(X, Y, Z, D, RHO2, ZZ)
+        # the old state's buffer is free until the next step
+        new = np.greater(np.add(RHO2, ZZ, out=XN), 4.0, out=hit)
+        new &= alive
+        n_new = np.count_nonzero(new)
+        if n_new:
+            at = new.nonzero()[0]
+            counts[idx[at]] = n + 1 - start[at]
+            alive[at] = False
+            n_alive -= n_new
+        if cohorts[0] + n_max - 1 == n:
+            done = np.equal(start, cohorts.popleft(), out=hit)
+            done &= alive
+            alive ^= done
+            n_alive -= np.count_nonzero(done)
+
+
+def _mirror_pairs(c: np.ndarray) -> np.ndarray:
+    """Indices i < n // 2 of the centres whose mirror c[n-1-i] is exactly
+    -c[i]."""
+    i = np.arange(len(c) // 2)
+    return i[c[i] == -c[len(c) - 1 - i]]
 
 
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
@@ -358,13 +401,28 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     ``min(workers, nz)`` z-slabs, at least one, rendered in turn on the
     calling thread.  Each cell is independent, so the counts are bitwise
     identical for any slab count.
+
+    Both approaches square exactly symmetrically under z -> -z, and
+    ``first`` also under y -> -y: every kernel operation commutes with
+    negation under round-to-nearest.  ``second`` reads the sign of y where
+    an orbit meets x = +-0, so its y-mirror holds only while no orbit does.
+    So on each of those axes, of each pair of planes whose centres negate
+    exactly (``c[n-1-i] == -c[i]``), only the lower one is rendered and the
+    upper one is a copy.  If a rendered orbit of ``second`` met x = +-0, the
+    skipped y-planes of its z-slab are rendered as well.  The counts are
+    the same bits as a full render.
     """
     xs, ys, zs = _cell_axes(cfg)
-    slabs = np.array_split(zs, min(max(workers, 1), len(zs)))
-    if len(slabs) == 1:
-        counts = _render_block(cfg, xs, ys, zs)
-    else:
-        counts = np.concatenate([_render_block(cfg, xs, ys, zslab) for zslab in slabs], axis=2)
+    mirror_y, mirror_z = _mirror_pairs(ys), _mirror_pairs(zs)
+    upper_z = zs.size - 1 - mirror_z
+    blocks, lo = [], 0
+    for n in map(len, np.array_split(zs, min(max(workers, 1), zs.size))):
+        skip_z = upper_z[(lo <= upper_z) & (upper_z < lo + n)] - lo
+        blocks.append(_render_block(cfg, xs, ys, zs[lo:lo + n], mirror_y, skip_z))
+        lo += n
+    counts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+    for i, j in zip(mirror_z, upper_z):
+        counts[:, :, j] = counts[:, :, i]
     counts.flags.writeable = False
     return MembershipGrid(config=cfg, counts=counts)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pickle
@@ -323,9 +324,10 @@ def test_exact_mirror_symmetries(approach, lo, hi, n):
     # every kernel operation commutes with negation under round-to-nearest,
     # so a cell and its exactly negated mirror have the same count.  second
     # reads y where an orbit meets x = +-0, so its y-mirror holds only on
-    # even resolutions, which have no x = 0 column.
+    # even resolutions, which have no x = 0 column.  The counts come from
+    # the lockstep oracle: render_grid copies these planes.
     cfg = FractalConfig(approach=approach, region=((lo, hi),) * 3, resolution=(n, n, n))
-    counts = render_grid(cfg).counts
+    counts = lockstep_counts(cfg)
     c = axis_centers(lo, hi, n)
     i = _negated_pairs(c)
     assert len(i) >= n // 4
@@ -364,6 +366,68 @@ def test_render_matches_lockstep_across_pool_boundaries(monkeypatch, region, res
         assert ((counts < n_max) if kind == "escape" else (counts == n_max)).all()
 
 
+_lockstep = functools.lru_cache(maxsize=None)(lockstep_counts)
+
+
+def _spy_on_step(monkeypatch, approach):
+    """Swap a spy in for the approach's step kernel; it collects the c_y and
+    the c_z of every lane the render steps."""
+    real = fractal._STEPS[approach]
+    seen_y, seen_z = set(), set()
+
+    def spy(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out):
+        seen_y.update(CY.tolist())
+        seen_z.update(CZ.tolist())
+        return real(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out)
+
+    monkeypatch.setitem(fractal._STEPS, approach, spy)
+    return seen_y, seen_z
+
+
+@pytest.mark.parametrize("pool", [_SMALL_POOL, None])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("approach", ["first", "second"])
+@pytest.mark.parametrize("lo, hi, n, exact", [
+    (-2.0, 2.0, 49, 16), (-0.5, 0.5, 41, 12), (-2.0, 2.0, 32, 16),
+])
+def test_mirrored_render_matches_lockstep(monkeypatch, lo, hi, n, exact, approach, workers,
+                                          pool):
+    # y and z are the mirrored axes; x has 4 cells, so no cell meets x = 0
+    # and second keeps its y-mirror.  Of the n // 2 centre pairs, `exact`
+    # negate exactly; at 32 cells all do, so first renders a quarter.  Two
+    # and three slabs split pairs across slabs.
+    cfg = FractalConfig(approach=approach, region=((lo, hi),) * 3, resolution=(4, n, n))
+    want = _lockstep(cfg)
+    c = axis_centers(lo, hi, n)
+    i = _negated_pairs(c)
+    assert len(i) == exact
+    skipped = set(c[n - 1 - i].tolist())
+    if pool:
+        monkeypatch.setattr(fractal, "_POOL_LANES", pool)
+    seen_y, seen_z = _spy_on_step(monkeypatch, approach)
+    assert np.array_equal(render_grid(cfg, workers=workers).counts, want)
+    # no lane is ever stepped with a c on a skipped plane
+    assert seen_z and not seen_z & skipped
+    assert seen_y and not seen_y & skipped
+
+
+@pytest.mark.parametrize("pool", [_SMALL_POOL, None])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_second_renders_its_y_mirror_once_an_orbit_meets_x_zero(monkeypatch, workers, pool):
+    # 9 cells over a symmetric x range put a column on x = 0, where second's
+    # sign rule reads y: copying its y-planes would get cells of this box
+    # wrong, so the skipped ones are rendered after all.  The z-mirror holds.
+    cfg = FractalConfig(approach="second", region=((-2.0, 2.0),) * 3, resolution=(9, 8, 8))
+    want = lockstep_counts(cfg)
+    upper = set(axis_centers(-2.0, 2.0, 8)[4:].tolist())
+    if pool:
+        monkeypatch.setattr(fractal, "_POOL_LANES", pool)
+    seen_y, seen_z = _spy_on_step(monkeypatch, "second")
+    assert np.array_equal(render_grid(cfg, workers=workers).counts, want)
+    assert upper <= seen_y
+    assert seen_z and not seen_z & upper
+
+
 def test_render_memory_is_the_counts_plus_one_pool():
     # A 64^3 member-heavy render keeps 262144 lanes alive at n = 1.  Only
     # the counts (4 B a cell) and the lane mask (1 B a cell) grow with the
@@ -392,10 +456,10 @@ def test_workers_is_a_z_slab_count(monkeypatch, workers, lengths):
     real = fractal._render_block
     slabs, blocks, threads = [], [], []
 
-    def spy(cfg, xs, ys, zs):
+    def spy(cfg, xs, ys, zs, *mirror):
         slabs.append(zs)
         threads.append(threading.get_ident())
-        blocks.append(real(cfg, xs, ys, zs))
+        blocks.append(real(cfg, xs, ys, zs, *mirror))
         return blocks[-1]
 
     monkeypatch.setattr(fractal, "_render_block", spy)
@@ -519,14 +583,19 @@ def test_membership_grid_is_a_frozen_record_equal_only_to_itself():
 
 
 def test_fractal_import_does_not_load_dataclasses():
-    # a fresh interpreter; modules its site already loaded do not count
+    # a fresh interpreter; modules its site already loaded do not count.  It
+    # also renders mirrored boxes, the second one with second's fallback:
+    # numpy's set routines would load numpy.ma, about 1.3 MiB of memory.
     import hypercomplex
 
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import hypercomplex.fractal\n"
-        "print(sorted({'concurrent.futures', 'dataclasses'} & (set(sys.modules) - before)))\n"
+        "from hypercomplex.fractal import FractalConfig, render_grid\n"
+        "render_grid(FractalConfig(n_max=20, resolution=(8, 8, 8)), workers=3)\n"
+        "render_grid(FractalConfig('second', 20, resolution=(9, 8, 8)), workers=3)\n"
+        "print(sorted({'concurrent.futures', 'dataclasses', 'numpy.ma'}\n"
+        "             & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
