@@ -1,15 +1,25 @@
 """Seeded invariant probes behind ``property-check``.
 
-Each probe draws its own ``random.Random(seed)`` stream, so a fixed seed
-reproduces the identical report byte for byte.  Sampling keeps latitudes
-within +-1.2 rad and moduli in [0.2, 3] so partial moduli stay well away
-from the degenerate axis; the degenerate paths have their own probes.
+Each probe is a sampler: a generator over its own ``random.Random(seed)``
+stream, so a fixed seed reproduces the report byte for byte.  Per trial it
+yields a tuple with one gap per measure, or the failure text of an exact
+law; set-up such as the distributivity witness runs once, before the first
+sample.  A ``_CHECKS`` row holds a probe's name, its sampler and a ``(label,
+tolerance)`` pair per measure.  ``_worst`` keeps each measure's worst value
+and ``_report`` decides pass or fail and writes the detail.  A tolerance is
+the text of an upper bound; ``None`` marks a witness the sampler checks
+itself or, with no value yielded, an exact law whose label is the detail.
+
+Sampling keeps latitudes within +-1.2 rad and moduli in [0.2, 3] so partial
+moduli stay well away from the degenerate axis; the degenerate paths have
+their own probes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import islice, zip_longest
 from typing import NamedTuple
 
 from . import extensions as ext
@@ -19,7 +29,6 @@ from .core import (
     SphericalForm,
     add,
     canonicalize,
-    equals_cartesian,
     identity,
     inverse,
     mul_cartesian,
@@ -45,106 +54,79 @@ def _rand_form(rng: random.Random, dim: int) -> SphericalForm:
     return SphericalForm(rng.uniform(0.2, 3.0), tuple(args))
 
 
-def _rand_vec(rng: random.Random, dim: int) -> CartesianVec:
-    return to_cartesian(_rand_form(rng, dim))
+def _max_gap(xs, ys) -> float:
+    return max(abs(x - y) for x, y in zip(xs, ys))
 
 
 def _max_cart_gap(a: SphericalForm, b: SphericalForm) -> float:
-    ca, cb = to_cartesian(a).components, to_cartesian(b).components
-    return max(abs(x - y) for x, y in zip(ca, cb))
+    return _max_gap(to_cartesian(a).components, to_cartesian(b).components)
 
 
-def _check_additive_group(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _additive_group(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
-        a, b, c = (_rand_vec(rng, dim) for _ in range(3))
+        a, b, c = (to_cartesian(_rand_form(rng, dim)) for _ in range(3))
         assoc = add(add(a, b), c) - add(a, add(b, c))
         comm = add(a, b) - add(b, a)
         ident = add(a, CartesianVec((0.0,) * dim)) - a
         inv = add(a, -a)
-        for v in (assoc, comm, ident, inv):
-            worst = max(worst, max(abs(x) for x in v.components))
-    return worst <= 1e-12, f"max deviation {worst:.3e} (tol 1e-12)"
+        yield (max(abs(x) for v in (assoc, comm, ident, inv) for x in v.components),)
 
 
-def _check_multiplicative_group(rng, trials):
-    worst_raw = 0.0
-    worst_cart = 0.0
-    for _ in range(trials):
+def _multiplicative_group(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         a, b, c = (_rand_form(rng, dim) for _ in range(3))
         left = mul_geometric(mul_geometric(a, b, canonical=False), c, canonical=False)
         right = mul_geometric(a, mul_geometric(b, c, canonical=False), canonical=False)
-        worst_raw = max(worst_raw, abs(left.modulus - right.modulus))
-        worst_raw = max(
-            worst_raw, max(abs(x - y) for x, y in zip(left.args, right.args))
-        )
         ab, ba = mul_geometric(a, b, canonical=False), mul_geometric(b, a, canonical=False)
-        worst_raw = max(worst_raw, abs(ab.modulus - ba.modulus))
-        worst_raw = max(worst_raw, max(abs(x - y) for x, y in zip(ab.args, ba.args)))
-        worst_raw = max(
-            worst_raw,
+        raw = max(
+            _max_gap((left.modulus, *left.args), (right.modulus, *right.args)),
+            _max_gap((ab.modulus, *ab.args), (ba.modulus, *ba.args)),
             abs(mul_geometric(a, identity(dim), canonical=False).modulus - a.modulus),
+            abs(mul_geometric(a, inverse(a)).modulus - 1.0),
         )
-        worst_raw = max(
-            worst_raw, abs(mul_geometric(a, inverse(a)).modulus - 1.0)
-        )
-        worst_cart = max(
-            worst_cart, _max_cart_gap(canonicalize(left), canonicalize(right))
-        )
-    ok = worst_raw <= 1e-12 and worst_cart <= 1e-9
-    return ok, f"raw {worst_raw:.3e} (tol 1e-12), cartesian {worst_cart:.3e} (tol 1e-9)"
+        yield raw, _max_cart_gap(canonicalize(left), canonicalize(right))
 
 
-def _check_representation_agreement(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _representation_agreement(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         ha, hb = _rand_form(rng, dim), _rand_form(rng, dim)
         a, b = to_cartesian(ha), to_cartesian(hb)
         direct = mul_cartesian(a, b)
         via_geo = to_cartesian(mul_geometric(to_spherical(a), to_spherical(b)))
         scale = ha.modulus * hb.modulus
-        gap = max(abs(x - y) for x, y in zip(direct.components, via_geo.components))
-        worst = max(worst, gap / scale)
-    return worst <= 1e-9, f"max relative gap {worst:.3e} (tol 1e-9)"
+        yield (_max_gap(direct.components, via_geo.components) / scale,)
 
 
-def _check_roundtrip(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _roundtrip(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         h = canonicalize(_rand_form(rng, dim))
         back = to_spherical(to_cartesian(h))
-        worst = max(worst, abs(h.modulus - back.modulus) / max(h.modulus, 1e-300))
-        for x, y in zip(h.args, back.args):
-            worst = max(worst, abs(math.remainder(x - y, TAU)))
-    return worst <= 1e-12, f"max argument error {worst:.3e} (tol 1e-12)"
+        arg_err = max(abs(math.remainder(x - y, TAU)) for x, y in zip(h.args, back.args))
+        yield (max(abs(h.modulus - back.modulus) / max(h.modulus, 1e-300), arg_err),)
 
 
-def _check_modulus_multiplicative(rng, trials):
-    for _ in range(trials):
+def _modulus_multiplicative(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         a, b = _rand_form(rng, dim), _rand_form(rng, dim)
-        if mul_geometric(a, b).modulus != a.modulus * b.modulus:
-            return False, "modulus of product != product of moduli"
-    return True, "exact over all samples"
+        exact = mul_geometric(a, b).modulus == a.modulus * b.modulus
+        yield () if exact else "modulus of product != product of moduli"
 
 
-def _check_complex_embedding(rng, trials):
-    for _ in range(trials):
+def _complex_plane(rng):
+    while True:
         x, y, u, v = (rng.uniform(-2, 2) for _ in range(4))
         got = mul_cartesian(CartesianVec((x, y, 0.0)), CartesianVec((u, v, 0.0)))
         want = (x * u - y * v, x * v + u * y, 0.0)
-        if got.components != want:
-            return False, f"plane product diverged at {(x, y, u, v)}"
-    return True, "bitwise equal to complex multiplication"
+        yield () if got.components == want else f"plane product diverged at {(x, y, u, v)}"
 
 
-def _check_unit_imaginary_invariance(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _unit_imaginary_invariance(rng):
+    while True:
         dim = rng.choice((4, 5, 7))
         m = rng.randrange(3, dim + 1)
         args = [rng.uniform(0.0, TAU)] + [
@@ -154,106 +136,117 @@ def _check_unit_imaginary_invariance(rng, trials):
         b_args = [0.0] * (dim - 1)
         b_args[m - 2] = rng.choice((1.0, -1.0)) * (0.5 * math.pi)
         b = SphericalForm(1.0, tuple(b_args))
-        worst = max(worst, _max_cart_gap(mul_geometric(a, b), b))
-    return worst <= 1e-12, f"max |a*b - b| {worst:.3e} (tol 1e-12)"
+        yield (_max_cart_gap(mul_geometric(a, b), b),)
 
 
-def _check_root_roundtrip(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _root_roundtrip(rng):
+    while True:
         dim = rng.choice((3, 4))
         m = rng.choice((2, 3, 4))
         h = canonicalize(_rand_form(rng, dim))
         rs = ext.nth_roots(h, m)
         if dim == 3 and len(rs.roots) != m * m:
-            return False, f"3D root count {len(rs.roots)} != {m * m}"
-        target = to_cartesian(h).components
-        for root in rs.roots:
-            back = to_cartesian(pow_int(root, m)).components
-            worst = max(worst, max(abs(p - t) for p, t in zip(back, target)))
-    return worst <= 1e-8, f"max power-back gap {worst:.3e} (tol 1e-8)"
+            yield f"3D root count {len(rs.roots)} != {m * m}"
+        else:
+            target = to_cartesian(h).components
+            backs = (to_cartesian(pow_int(root, m)).components for root in rs.roots)
+            yield (max((_max_gap(back, target) for back in backs), default=0.0),)
 
 
-def _check_conjugates(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _conjugates(rng):
+    while True:
         h = _rand_form(rng, 3)
         r2 = h.modulus * h.modulus
         theta, phi = h.args
         full = to_cartesian(mul_geometric(h, ext.conjugate(h, "full"))).components
-        worst = max(worst, abs(full[0] - r2) / r2, abs(full[1]) / r2, abs(full[2]) / r2)
         second = to_cartesian(mul_geometric(h, ext.conjugate(h, "second"))).components
         want2 = (r2 * math.cos(2 * phi), 0.0, r2 * math.sin(2 * phi))
-        worst = max(worst, max(abs(x - y) for x, y in zip(second, want2)) / r2)
         third = to_cartesian(mul_geometric(h, ext.conjugate(h, "third"))).components
         want3 = (r2 * math.cos(2 * theta), r2 * math.sin(2 * theta), 0.0)
-        worst = max(worst, max(abs(x - y) for x, y in zip(third, want3)) / r2)
-    return worst <= 1e-9, f"max relative gap {worst:.3e} (tol 1e-9)"
+        yield (max(abs(full[0] - r2) / r2, abs(full[1]) / r2, abs(full[2]) / r2,
+                   _max_gap(second, want2) / r2, _max_gap(third, want3) / r2),)
 
 
-def _check_distributivity(rng, trials):
+def _distributivity(rng):
     witness = ext.distributivity_residual(
         CartesianVec((1.0, 1.0, 1.0)),
         CartesianVec((1.0, 0.0, 1.0)),
         CartesianVec((0.0, 1.0, 1.0)),
-    )
-    wnorm = witness.norm()
-    if wnorm <= 0.1:
-        return False, f"witness residual {wnorm:.3e} not > 0.1"
-    worst = 0.0
-    for _ in range(trials):
-        a = _rand_vec(rng, 3)
+    ).norm()
+    if witness <= 0.1:
+        yield f"witness residual {witness:.3e} not > 0.1"
+    while True:
+        a = to_cartesian(_rand_form(rng, 3))
         lon, lat = rng.uniform(0, TAU), rng.uniform(-1.2, 1.2)
         b = to_cartesian(SphericalForm(rng.uniform(0.2, 3.0), (lon, lat)))
         c = to_cartesian(SphericalForm(rng.uniform(0.2, 3.0), (lon, lat)))
-        worst = max(worst, ext.distributivity_residual(a, b, c).norm())
-    ok = worst <= 1e-9
-    return ok, f"witness {wnorm:.6f}, collinear residual {worst:.3e} (tol 1e-9)"
+        yield witness, ext.distributivity_residual(a, b, c).norm()
 
 
-def _check_replicate_preserves_point(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _replicate_preserves_point(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         h = _rand_form(rng, dim)
         k = rng.randrange(3, dim + 1)
-        worst = max(worst, _max_cart_gap(h, ext.replicate(h, k)))
-    return worst <= 1e-12, f"max displacement {worst:.3e} (tol 1e-12)"
+        yield (_max_cart_gap(h, ext.replicate(h, k)),)
 
 
-def _check_scalar_embedding(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
+def _scalar_embedding(rng):
+    while True:
         dim = rng.choice((3, 4, 7))
         s = rng.uniform(-3.0, 3.0)
         h = _rand_form(rng, dim)
         scaled = to_cartesian(mul_geometric(h, ext.scalar_embed(s, dim))).components
-        want = tuple(s * c for c in to_cartesian(h).components)
-        worst = max(worst, max(abs(x - y) for x, y in zip(scaled, want)))
-    return worst <= 1e-12, f"max |s*v - embed(s)*v| {worst:.3e} (tol 1e-12)"
+        yield (_max_gap(scaled, (s * c for c in to_cartesian(h).components)),)
 
 
 _CHECKS = (
-    ("additive-group", _check_additive_group),
-    ("multiplicative-group", _check_multiplicative_group),
-    ("representation-agreement", _check_representation_agreement),
-    ("spherical-roundtrip", _check_roundtrip),
-    ("modulus-multiplicativity", _check_modulus_multiplicative),
-    ("complex-plane-embedding", _check_complex_embedding),
-    ("unit-imaginary-invariance", _check_unit_imaginary_invariance),
-    ("root-roundtrip", _check_root_roundtrip),
-    ("conjugate-products", _check_conjugates),
-    ("distributivity-residual", _check_distributivity),
-    ("replicate-preserves-point", _check_replicate_preserves_point),
-    ("scalar-embedding", _check_scalar_embedding),
+    ("additive-group", _additive_group, ("max deviation", "1e-12")),
+    ("multiplicative-group", _multiplicative_group, ("raw", "1e-12"), ("cartesian", "1e-9")),
+    ("representation-agreement", _representation_agreement, ("max relative gap", "1e-9")),
+    ("spherical-roundtrip", _roundtrip, ("max argument error", "1e-12")),
+    ("modulus-multiplicativity", _modulus_multiplicative, ("exact over all samples", None)),
+    ("complex-plane-embedding", _complex_plane, ("bitwise equal to complex multiplication", None)),
+    ("unit-imaginary-invariance", _unit_imaginary_invariance, ("max |a*b - b|", "1e-12")),
+    ("root-roundtrip", _root_roundtrip, ("max power-back gap", "1e-8")),
+    ("conjugate-products", _conjugates, ("max relative gap", "1e-9")),
+    ("distributivity-residual", _distributivity, ("witness", None), ("collinear residual", "1e-9")),
+    ("replicate-preserves-point", _replicate_preserves_point, ("max displacement", "1e-12")),
+    ("scalar-embedding", _scalar_embedding, ("max |s*v - embed(s)*v|", "1e-12")),
 )
+
+
+def _worst(samples, trials: int):
+    """Each measure's worst value over ``trials`` samples, or the first failure text."""
+    worst = ()
+    for got in islice(samples, trials):
+        if isinstance(got, str):
+            return got
+        worst = tuple(map(max, worst or (0.0,) * len(got), got))
+    return worst
+
+
+def _report(name: str, measures, worst) -> CheckResult:
+    """Pass or fail, with each measure's label, worst value and tolerance."""
+    if isinstance(worst, str):
+        return CheckResult(name, False, worst)
+    passed, texts = True, []
+    for (label, tol), value in zip_longest(measures, worst):
+        if value is None:  # an exact law that held on every sample
+            texts.append(label)
+        elif tol is None:  # a witness its sampler has checked
+            texts.append(f"{label} {value:.6f}")
+        else:
+            passed = passed and value <= float(tol)
+            texts.append(f"{label} {value:.3e} (tol {tol})")
+    return CheckResult(name, passed, ", ".join(texts))
 
 
 def run_property_checks(seed: int = 0, trials: int = 200) -> list[CheckResult]:
     """Run every probe with its own seeded stream; same seed, same report."""
-    results = []
-    for name, fn in _CHECKS:
-        rng = random.Random(f"{seed}:{name}")
-        passed, detail = fn(rng, trials)
-        results.append(CheckResult(name, passed, detail))
-    return results
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return [
+        _report(name, measures, _worst(sampler(random.Random(f"{seed}:{name}")), trials))
+        for name, sampler, *measures in _CHECKS
+    ]

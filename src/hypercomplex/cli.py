@@ -50,6 +50,12 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _region(text: str) -> tuple[tuple[float, float], ...]:
     try:
         spans = []
@@ -200,16 +206,14 @@ def _cmd_property_check(args) -> int:
 
         rows = csv.writer(sys.stdout, lineterminator="\n")
         rows.writerow(("name", "result", "detail"))
-    failed = False
     for res in results:
-        failed |= not res.passed
         if fmt == "json-lines":
             print(json.dumps({"name": res.name, "passed": res.passed, "detail": res.detail}))
         elif fmt == "csv":
             rows.writerow((res.name, "pass" if res.passed else "fail", res.detail))
         else:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
-    return 1 if failed else 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _cmd_relativity_check(args) -> int:
@@ -332,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("property-check", parents=[common],
                        help="run the seeded invariant suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_property_check)
 
     p = sub.add_parser("fractal", help="render an escape-time lattice")
@@ -353,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="interval-invariance table for boosted displacements")
     p.add_argument("--delta", type=_floats, action="append", metavar="dx,dy,dz,cdt")
     p.add_argument("--beta", type=float, action="append")
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_relativity_check)
 

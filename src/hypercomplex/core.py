@@ -404,7 +404,8 @@ def mul_cartesian(
     where ``F_k = prod_{n=k..N} (1 - x_n x'_n / (r_{n-1} r'_{n-1}))`` and
     ``r_n`` are the partial moduli.  The denominators must be nonzero; when
     one vanishes (a zero ``r_2`` on either side, or a product of tiny moduli
-    that underflows) the product is computed through the geometric form
+    that underflows), or is so small that a factor overflows although the
+    product is in range, the product is computed through the geometric form
     instead, which requires the unrecoverable longitudes:
     a degenerate *nonzero* operand without a fallback is rejected with
     :class:`DegenerateLongitudeError` (a zero operand is fine -- the product
@@ -419,34 +420,38 @@ def mul_cartesian(
 
     # the partial moduli are nondecreasing, so r_2 r'_2 is the smallest
     # denominator; testing the product also catches one that underflows
-    if n >= 3 and ra[1] * rb[1] == 0.0:
-        for comps, chain, fb, side in (
-            (ca, ra, a_fallback, "left"),
-            (cb, rb, b_fallback, "right"),
-        ):
-            if _leading_zeros(comps) >= 2 and chain[-1] > 0.0 and fb is None:
-                raise DegenerateLongitudeError(
-                    f"{side} operand has unrecoverable longitudes "
-                    "(leading components are zero); pass a DegenerateArgs fallback"
-                )
-        return to_cartesian(
-            mul_geometric(to_spherical(a, a_fallback), to_spherical(b, b_fallback))
-        )
+    if n < 3 or ra[1] * rb[1] != 0.0:
+        # suffix[k] = prod of factors for indices k..N (1-based k, suffix[n+1] = 1)
+        suffix = [1.0] * (n + 2)
+        for k in range(n, 2, -1):
+            f = 1.0 - (ca[k - 1] * cb[k - 1]) / (ra[k - 2] * rb[k - 2])
+            suffix[k] = f * suffix[k + 1]
 
-    # suffix[k] = prod of factors for indices k..N (1-based k, suffix[n+1] = 1)
-    suffix = [1.0] * (n + 2)
-    for k in range(n, 2, -1):
-        f = 1.0 - (ca[k - 1] * cb[k - 1]) / (ra[k - 2] * rb[k - 2])
-        suffix[k] = f * suffix[k + 1]
+        out = [0.0] * n
+        out[0] = (ca[0] * cb[0] - ca[1] * cb[1]) * suffix[3]
+        out[1] = (ca[0] * cb[1] + ca[1] * cb[0]) * suffix[3]
+        for k in range(3, n):
+            out[k - 1] = (ca[k - 1] * rb[k - 2] + cb[k - 1] * ra[k - 2]) * suffix[k + 1]
+        if n >= 3:
+            out[n - 1] = ca[n - 1] * rb[n - 2] + cb[n - 1] * ra[n - 2]
+        try:
+            return _vec(tuple(out))
+        except ValueError:  # a tiny r_2 r'_2 overflowed a factor, not the product
+            if ra[-1] * rb[-1] == math.inf:
+                raise
 
-    out = [0.0] * n
-    out[0] = (ca[0] * cb[0] - ca[1] * cb[1]) * suffix[3]
-    out[1] = (ca[0] * cb[1] + ca[1] * cb[0]) * suffix[3]
-    for k in range(3, n):
-        out[k - 1] = (ca[k - 1] * rb[k - 2] + cb[k - 1] * ra[k - 2]) * suffix[k + 1]
-    if n >= 3:
-        out[n - 1] = ca[n - 1] * rb[n - 2] + cb[n - 1] * ra[n - 2]
-    return _vec(tuple(out))
+    for comps, chain, fb, side in (
+        (ca, ra, a_fallback, "left"),
+        (cb, rb, b_fallback, "right"),
+    ):
+        if _leading_zeros(comps) >= 2 and chain[-1] > 0.0 and fb is None:
+            raise DegenerateLongitudeError(
+                f"{side} operand has unrecoverable longitudes "
+                "(leading components are zero); pass a DegenerateArgs fallback"
+            )
+    return to_cartesian(
+        mul_geometric(to_spherical(a, a_fallback), to_spherical(b, b_fallback))
+    )
 
 
 def inverse(h: SphericalForm) -> SphericalForm:

@@ -183,6 +183,21 @@ def test_overflowed_results_exit_1_and_name_the_overflow(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_mul_cartesian_with_subnormal_leading_components(capsys):
+    # r_2 r'_2 is subnormal, so a Cartesian factor overflows; the product does not
+    code, out, err = run(capsys, "mul", "--form", "cartesian", "5e-324,5e-324,1", "1,1,1")
+    assert (code, err) == (0, "")
+    assert out == "-1.8369702e-16,-1,1.41421356\n"
+
+
+@pytest.mark.parametrize("command", ["property-check", "relativity-check"])
+@pytest.mark.parametrize("trials", ["0", "-3", "1.5", "x"])
+def test_trials_must_be_a_positive_integer(capsys, command, trials):
+    code, out, err = run(capsys, command, "--trials", trials)
+    assert code == 2 and out == ""
+    assert f"argument --trials: must be a positive integer, got '{trials}'" in err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mul", "1,0,0")[0] == 2           # missing second value

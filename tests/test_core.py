@@ -363,6 +363,20 @@ def test_mul_cartesian_huge_times_tiny_matches_geometric():
     assert max_gap(got.components, want.components) < 1e-12 * 3.0
 
 
+@pytest.mark.parametrize("a, b", [
+    ((5e-324, 5e-324, 1.0), (1.0, 1.0, 1.0)),         # r_2 r'_2 is subnormal
+    ((1e-150, 1e-150, 1e10), (1e-150, 1e-150, 1e10)),  # normal, yet 1e20 / it overflows
+    ((1e-160, 1e-160, 1.0, 1.0), (1e-160, 1e-160, 1.0, 1.0)),
+], ids=["subnormal-r2", "normal-r2", "4d"])
+def test_mul_cartesian_tiny_denominator_matches_geometric(a, b):
+    # r_2 r'_2 is nonzero but so small that a factor 1 - x_k x'_k / (r_{k-1} r'_{k-1})
+    # overflows; the product itself is in range, so the geometric path computes it
+    a, b = CartesianVec(a), CartesianVec(b)
+    got = mul_cartesian(a, b)
+    want = to_cartesian(mul_geometric(to_spherical(a), to_spherical(b)))
+    assert max_gap(got.components, want.components) <= 1e-12 * a.norm() * b.norm()
+
+
 def test_mul_cartesian_tiny_times_tiny_is_zero():
     # r_2 r'_2 underflows to 0; the true product (modulus 3e-400) rounds to 0
     t = CartesianVec((1e-200,) * 3)
