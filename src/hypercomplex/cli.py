@@ -349,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--save-as", choices=("pgm_slice", "csv", "voxel_raw"), default=None,
                    help="default: inferred from --out extension (.pgm, .csv, else voxel)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="z-slab count, rendered in turn; the output is the same for any count")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="x-slab count, rendered in turn; the output is the same for any count")
     p.set_defaults(func=_cmd_fractal)
 
     p = sub.add_parser("relativity-check", parents=[common],

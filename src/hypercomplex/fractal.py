@@ -26,15 +26,16 @@ reused by the next step.  An escaped cell gets its count and leaves the
 live mask but is stepped on with the rest until 1/8 of the pool is dead;
 then the live lanes are packed to the front and the freed lanes take the
 next cells, so lanes that started at different iterations share every pass.
-A lane that reaches ``n_max`` leaves as a member.  The cost follows the cell
-iterations actually run rather than cells x ``n_max``.
+A lane alive after iteration ``n_max - 1`` is a member.  The cost follows
+the cell iterations actually run rather than cells x ``n_max``.
 
 Every kernel operation commutes with negation under round-to-nearest, so
 both approaches are exactly mirror-symmetric in z, and ``first`` in y as well.
-Of each pair of z-planes whose centres negate exactly, and of each such pair
-of y-planes, the render steps only the lower plane and copies it into the
-upper one.  ``second`` reads the sign of y where an orbit meets x = +-0, so
-if a rendered orbit did, it renders its skipped y-planes after all.
+The render splits x, which no map mirrors, into slabs.  Of each pair of y-
+or z-planes whose centres negate exactly, a slab steps only the lower plane
+and copies it into the upper one.  ``second`` reads the sign of y where an
+orbit meets x = +-0, so if a rendered orbit did, the slab renders its
+skipped y-planes after all.
 """
 
 from __future__ import annotations
@@ -147,19 +148,27 @@ def _squares(X, Y, Z, D, RHO2, ZZ):
     np.subtract(XX, YY, out=D)
     XX += YY
     np.multiply(Z, Z, out=ZZ)
-    return D, RHO2, ZZ
 
 
-# Each kernel takes a state, its _squares and c, and writes the next state
-# into XN, YN and ZN, which it returns followed by the number of lanes whose
-# square read the sign of y (second's rule on x = +-0; first never reads it),
-# the one step that breaks the y-mirror.  The squares are scratch: a kernel may
-# overwrite RHO2, and ZN holds a factor until the new z is computed.  Callers
-# silence numpy's floating-point warnings: 0/0 on degenerate cells is patched
-# over, and an orbit past the float range is inf or NaN, which the escape
-# test and CartesianVec each handle.
+# Each kernel takes a state, its _squares and c, writes the next state into
+# XN, YN and ZN, and returns the number of lanes whose square read the sign
+# of y (second's rule on x = +-0; first never reads it), the one step that
+# breaks the y-mirror.  The squares are scratch: a kernel may overwrite RHO2,
+# and ZN holds a factor until the new z is computed.  Callers silence numpy's
+# floating-point warnings: 0/0 on degenerate cells is patched over, and an
+# orbit past the float range is inf or NaN, which the escape test and
+# CartesianVec each handle.
 
-def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
+def _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN) -> None:
+    # pure z-axis states (rho = 0, the lanes in deg) need a longitude to
+    # square: it is fixed at 0 so the iteration stays deterministic
+    if deg.size:
+        XN[deg] = CX[deg] - ZZ[deg]
+        YN[deg] = CY[deg]
+        ZN[deg] = CZ[deg]
+
+
+def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     deg = (RHO2 == 0.0).nonzero()[0]
     F = np.divide(ZZ, RHO2, out=ZN)
     np.subtract(1.0, F, out=F)
@@ -172,16 +181,11 @@ def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
     np.multiply(2.0, Z, out=ZN)
     ZN *= np.sqrt(RHO2, out=RHO2)
     ZN += CZ
-    if deg.size:
-        # pure z-axis states (rho = 0) need a longitude to square: it is
-        # fixed at 0 so the iteration stays deterministic
-        XN[deg] = CX[deg] - ZZ[deg]
-        YN[deg] = CY[deg]
-        ZN[deg] = CZ[deg]
-    return XN, YN, ZN, 0
+    _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN)
+    return 0
 
 
-def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
+def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     # Doubled-angle square of the alternative resolution, evaluated through
     # exact half-angle algebra instead of trig calls:
     #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
@@ -212,11 +216,8 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN):
         ZN[on_yz] = np.copysign(ZN[on_yz], Y[on_yz])
     ZN *= Z
     ZN += CZ
-    if deg.size:
-        XN[deg] = CX[deg] - ZZ[deg]
-        YN[deg] = CY[deg]
-        ZN[deg] = CZ[deg]
-    return XN, YN, ZN, on_yz.size
+    _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN)
+    return on_yz.size
 
 
 _STEPS = {"first": _step_first, "second": _step_second}
@@ -247,27 +248,31 @@ _COMPACT_SHARE = 8  # pack and refill the pool once 1/8 of its lanes are dead
 _POOL_LANES = 8192
 
 
-def _render_block(cfg: FractalConfig, xs, ys, zs, mirror_y=(), skip_z=()) -> np.ndarray:
+def _mirror_pairs(c: np.ndarray) -> np.ndarray:
+    """Indices i < n // 2 of the centres whose mirror c[n-1-i] is exactly
+    -c[i]."""
+    i = np.arange(len(c) // 2)
+    return i[c[i] == -c[len(c) - 1 - i]]
+
+
+def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     # The orbit starts at h_1 = c, the exact step from h_0 = 0, so iteration
-    # 1 is the escape test on c.  Its squares separate by axis: the tables
-    # D1 = x^2 - y^2 and R1 = x^2 + y^2 per (x, y) column, and z^2 per plane,
-    # each the same float operations as in _squares.  A cell outside radius
-    # 2 gets count 1; every other cell is marked in `todo`, and _sweep
-    # iterates the marked cells.
+    # 1 is the escape test on c, whose squared modulus is x^2 + y^2 per
+    # (x, y) column plus z^2 per plane.  A cell outside radius 2 gets count
+    # 1; _sweep iterates every other cell, marked in `todo`.
     #
-    # mirror_y holds the lower index i of each y pair whose centres negate
-    # exactly.  The y-plane ny-1-i is left out of `todo` and copied from
-    # plane i, unless an orbit's square read the sign of y (second's rule on
-    # x = +-0); then the left-out planes take a second sweep.  The z-planes
-    # in skip_z are left out of `todo` too; the caller fills them.
+    # Of each y pair and each z pair whose centres negate exactly, the upper
+    # plane is left out of `todo`.  The y-planes are copied from the lower
+    # ones, unless an orbit's square read the sign of y (second's rule on
+    # x = +-0); then they take a second sweep.  The z-planes are copied last.
     xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
     shape = (xs.size, ys.size, zs.size)
-    upper_y = [ys.size - 1 - i for i in mirror_y]
+    lower_y, lower_z = _mirror_pairs(ys), _mirror_pairs(zs)
+    upper_y, upper_z = ys.size - 1 - lower_y, zs.size - 1 - lower_z
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
         xx, yy, zz = xs * xs, ys * ys, zs * zs
-        D1 = (xx[:, None] - yy).ravel()
         R1 = (xx[:, None] + yy).ravel()
         # radius-2 escape test on squared moduli, in blocks of about one pool,
         # so no float array the size of the lattice is made; a NaN state
@@ -281,47 +286,47 @@ def _render_block(cfg: FractalConfig, xs, ys, zs, mirror_y=(), skip_z=()) -> np.
         counts = np.where(todo, np.int32(1), np.int32(cfg.n_max)).reshape(shape)
         todo = np.logical_not(todo, out=todo).reshape(shape)
         todo[:, upper_y] = False
-        todo[:, :, skip_z] = False
+        todo[:, :, upper_z] = False
         # flat views: the sweeps write through them into counts and read todo
         args = (cfg, todo.ravel(), counts.ravel(), np.repeat(xs, ys.size),
-                np.tile(ys, xs.size), zs, D1, R1, zz)
-        if _sweep(*args) and upper_y:
+                np.tile(ys, xs.size), zs)
+        if _sweep(*args) and upper_y.size:
             # the left-out planes still hold count n_max exactly where c is
-            # inside radius 2 (n_max > 1 here: at 1 nothing is stepped)
+            # inside radius 2 (n_max > 2 here: below that nothing is stepped)
             todo[:] = False
             for j in upper_y:
                 np.not_equal(counts[:, j], 1, out=todo[:, j])
-            todo[:, :, skip_z] = False
+            todo[:, :, upper_z] = False
             _sweep(*args)
         else:
-            for i, j in zip(mirror_y, upper_y):
-                counts[:, j] = counts[:, i]
+            counts[:, upper_y] = counts[:, lower_y]
+        counts[:, :, upper_z] = counts[:, :, lower_z]
     return counts
 
 
-def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs, D1, R1, zz) -> int:
+def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
     # Iterates the cells marked in the flat `todo` and writes their counts;
     # returns how many lane steps read the sign of y.
     #
     # The iterations after the first run on a pool of at most _POOL_LANES
     # lanes, whose buffers are allocated once and written through out=.  A
     # cursor hands the marked cells to the pool in lattice order, each at h_1
-    # with the squares of c taken from the tables; idx maps a lane back to
-    # its cell, and start is the iteration at which the lane held h_1, so a
-    # lane that escapes at iteration n has count n - start + 1.  Each
-    # iteration steps the lanes, squares them once, for the escape test and
-    # then the next step, and tests them.  An escaped lane only leaves
-    # `alive`: it is stepped on, to inf and NaN, and its count is never
-    # written again (new & alive), until 1/8 of the carried lanes are dead.
-    # Then the live lanes past the first n_alive move into the dead slots
-    # before them, and the cursor refills the slots behind.  The lanes of one
-    # refill are a cohort; on the iteration a cohort reaches n_max, its live
-    # lanes leave as members, whose count n_max is already set.  Once the
+    # with its _squares; idx maps a lane back to its cell, and start is the
+    # iteration at which the lane held h_1, so a lane that escapes at
+    # iteration n has count n - start + 1.  Each iteration steps the lanes,
+    # squares them once, for the escape test and then the next step, and
+    # tests them.  An escaped lane only leaves `alive`: it is stepped on, to
+    # inf and NaN, and its count is never written again (new & alive), until
+    # 1/8 of the carried lanes are dead.  Then the live lanes past the first
+    # n_alive move into the dead slots before them, and the cursor refills
+    # the slots behind.  The lanes of one refill are a cohort.  A lane alive
+    # after iteration n_max - 1 is a member, so its cohort retires it then,
+    # with its count n_max already set, after n_max - 2 steps.  Once the
     # lattice is used up the pool shrinks to its live lanes instead.
     n_max = cfg.n_max
     step = _STEPS[cfg.approach]
-    # at n_max = 1 the first test already gave every count
-    size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 1 else 0
+    # at n_max <= 2 the first test already gave every count
+    size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 2 else 0
     X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
     idx = np.empty(size, dtype=np.intp)
     # int64: the iteration number runs past n_max once a pool of members
@@ -347,13 +352,10 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs, D1, R1, zz) -> int:
                     fill = slice(m, m + k)
                     cells = np.add(found[:k], cursor, out=idx[fill])
                     col = cells // zs.size
-                    iz = cells - col * zs.size
                     X[fill] = CX[fill] = CX1[col]
                     Y[fill] = CY[fill] = CY1[col]
-                    Z[fill] = CZ[fill] = zs[iz]
-                    D[fill] = D1[col]
-                    RHO2[fill] = R1[col]
-                    ZZ[fill] = zz[iz]
+                    Z[fill] = CZ[fill] = zs[cells - col * zs.size]
+                    _squares(X[fill], Y[fill], Z[fill], D[fill], RHO2[fill], ZZ[fill])
                     start[fill] = n - 1
                     m += k
                 cursor += found[k - 1] + 1 if k < found.size else _POOL_LANES
@@ -367,8 +369,7 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs, D1, R1, zz) -> int:
                 return read_y
             alive[:] = True
             n_alive = m
-        *_, reads = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
-        read_y += reads
+        read_y += step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
         X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
         _squares(X, Y, Z, D, RHO2, ZZ)
         # the old state's buffer is free until the next step
@@ -380,25 +381,18 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs, D1, R1, zz) -> int:
             counts[idx[at]] = n + 1 - start[at]
             alive[at] = False
             n_alive -= n_new
-        if cohorts[0] + n_max - 1 == n:
+        if cohorts[0] + n_max - 2 == n:
             done = np.equal(start, cohorts.popleft(), out=hit)
             done &= alive
             alive ^= done
             n_alive -= np.count_nonzero(done)
 
 
-def _mirror_pairs(c: np.ndarray) -> np.ndarray:
-    """Indices i < n // 2 of the centres whose mirror c[n-1-i] is exactly
-    -c[i]."""
-    i = np.arange(len(c) // 2)
-    return i[c[i] == -c[len(c) - 1 - i]]
-
-
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
-    ``workers`` is a z-slab count: the lattice is split into
-    ``min(workers, nz)`` z-slabs, at least one, rendered in turn on the
+    ``workers`` is an x-slab count: the lattice is split into
+    ``min(workers, nx)`` x-slabs, at least one, rendered in turn on the
     calling thread.  Each cell is independent, so the counts are bitwise
     identical for any slab count.
 
@@ -406,23 +400,16 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     ``first`` also under y -> -y: every kernel operation commutes with
     negation under round-to-nearest.  ``second`` reads the sign of y where
     an orbit meets x = +-0, so its y-mirror holds only while no orbit does.
-    So on each of those axes, of each pair of planes whose centres negate
-    exactly (``c[n-1-i] == -c[i]``), only the lower one is rendered and the
-    upper one is a copy.  If a rendered orbit of ``second`` met x = +-0, the
-    skipped y-planes of its z-slab are rendered as well.  The counts are
-    the same bits as a full render.
+    No map is symmetric in x, so each x-slab holds whole pairs: of each pair
+    of y- or z-planes whose centres negate exactly (``c[n-1-i] == -c[i]``),
+    it renders the lower one and copies it into the upper one, unless a
+    rendered orbit of ``second`` met x = +-0, which makes it render its
+    skipped y-planes too.  The counts are the same bits as a full render.
     """
     xs, ys, zs = _cell_axes(cfg)
-    mirror_y, mirror_z = _mirror_pairs(ys), _mirror_pairs(zs)
-    upper_z = zs.size - 1 - mirror_z
-    blocks, lo = [], 0
-    for n in map(len, np.array_split(zs, min(max(workers, 1), zs.size))):
-        skip_z = upper_z[(lo <= upper_z) & (upper_z < lo + n)] - lo
-        blocks.append(_render_block(cfg, xs, ys, zs[lo:lo + n], mirror_y, skip_z))
-        lo += n
-    counts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
-    for i, j in zip(mirror_z, upper_z):
-        counts[:, :, j] = counts[:, :, i]
+    blocks = [_render_block(cfg, part, ys, zs)
+              for part in np.array_split(xs, min(max(workers, 1), xs.size))]
+    counts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     counts.flags.writeable = False
     return MembershipGrid(config=cfg, counts=counts)
 

@@ -57,8 +57,8 @@ def lockstep_counts(cfg) -> np.ndarray:
     with np.errstate(all="ignore"):
         for n in range(1, cfg.n_max + 1):
             if n > 1:
-                nxt = step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)[:3]
-                X, Y, Z, XN, YN, ZN = *nxt, X, Y, Z
+                step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+                X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
             fractal._squares(X, Y, Z, D, RHO2, ZZ)
             new = (RHO2 + ZZ > 4.0) & alive
             counts[new] = n
@@ -81,8 +81,8 @@ def kernel_step(approach: str, states, cs) -> list[tuple[float, float, float]]:
     D, RHO2, ZZ, XN, YN, ZN = np.empty((6, X.size))
     with np.errstate(all="ignore"):
         fractal._squares(X, Y, Z, D, RHO2, ZZ)
-        nxt = fractal._STEPS[approach](X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)[:3]
-    return [tuple(p) for p in np.stack(nxt, axis=1).tolist()]
+        fractal._STEPS[approach](X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+    return [tuple(p) for p in np.stack((XN, YN, ZN), axis=1).tolist()]
 
 
 def escape_byte(n: int, n_max: int) -> int:

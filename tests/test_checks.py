@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import pytest
@@ -58,6 +59,31 @@ BREAKS = {
     "replicate-preserves-point": (ext, "replicate", _unflipped_replicate),
     "scalar-embedding": (ext, "scalar_embed", lambda embed: lambda s, dim: embed(abs(s), dim)),
 }
+
+
+def _turned_longitude(to_sph):
+    # the same modulus at another longitude
+    def broken(v):
+        h = to_sph(v)
+        return SphericalForm(h.modulus, (h.args[0] + 0.5,) + h.args[1:])
+    return broken
+
+
+@pytest.mark.parametrize("breaker, broken", [
+    (BREAKS["spherical-roundtrip"][2], "modulus relative error"),
+    (_turned_longitude, "max argument error"),
+])
+def test_spherical_roundtrip_fails_only_the_broken_measure(monkeypatch, breaker, broken):
+    monkeypatch.setattr(checks, "to_spherical", breaker(checks.to_spherical))
+    result = {r.name: r for r in checks.run_property_checks(seed=0, trials=20)}[
+        "spherical-roundtrip"]
+    assert not result.passed, result
+    measures = [re.fullmatch(r"(.+) (\S+) \(tol (\S+)\)", text).groups()
+                for text in result.detail.split(", ")]
+    assert [label for label, _, _ in measures] == ["modulus relative error",
+                                                  "max argument error"]
+    assert [float(value) > float(tol) for label, value, tol in measures] == [
+        label == broken for label, _, _ in measures]
 
 
 def test_every_probe_has_a_breaker():

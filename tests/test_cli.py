@@ -198,6 +198,16 @@ def test_trials_must_be_a_positive_integer(capsys, command, trials):
     assert f"argument --trials: must be a positive integer, got '{trials}'" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "1.5", "x"])
+def test_fractal_workers_must_be_a_positive_integer(capsys, tmp_path, workers):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "fractal", "--res", "2,2,2", "--workers", workers,
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert f"argument --workers: must be a positive integer, got '{workers}'" in err
+    assert not out_path.exists()
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mul", "1,0,0")[0] == 2           # missing second value

@@ -371,17 +371,19 @@ _lockstep = functools.lru_cache(maxsize=None)(lockstep_counts)
 
 def _spy_on_step(monkeypatch, approach):
     """Swap a spy in for the approach's step kernel; it collects the c_y and
-    the c_z of every lane the render steps."""
+    the c_z of every lane the render steps, and how many lanes each call
+    steps."""
     real = fractal._STEPS[approach]
-    seen_y, seen_z = set(), set()
+    seen_y, seen_z, lanes = set(), set(), []
 
     def spy(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out):
         seen_y.update(CY.tolist())
         seen_z.update(CZ.tolist())
+        lanes.append(X.size)
         return real(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out)
 
     monkeypatch.setitem(fractal._STEPS, approach, spy)
-    return seen_y, seen_z
+    return seen_y, seen_z, lanes
 
 
 @pytest.mark.parametrize("pool", [_SMALL_POOL, None])
@@ -395,7 +397,7 @@ def test_mirrored_render_matches_lockstep(monkeypatch, lo, hi, n, exact, approac
     # y and z are the mirrored axes; x has 4 cells, so no cell meets x = 0
     # and second keeps its y-mirror.  Of the n // 2 centre pairs, `exact`
     # negate exactly; at 32 cells all do, so first renders a quarter.  Two
-    # and three slabs split pairs across slabs.
+    # and three x-slabs each hold whole y and z pairs and mirror their own.
     cfg = FractalConfig(approach=approach, region=((lo, hi),) * 3, resolution=(4, n, n))
     want = _lockstep(cfg)
     c = axis_centers(lo, hi, n)
@@ -404,7 +406,7 @@ def test_mirrored_render_matches_lockstep(monkeypatch, lo, hi, n, exact, approac
     skipped = set(c[n - 1 - i].tolist())
     if pool:
         monkeypatch.setattr(fractal, "_POOL_LANES", pool)
-    seen_y, seen_z = _spy_on_step(monkeypatch, approach)
+    seen_y, seen_z, _ = _spy_on_step(monkeypatch, approach)
     assert np.array_equal(render_grid(cfg, workers=workers).counts, want)
     # no lane is ever stepped with a c on a skipped plane
     assert seen_z and not seen_z & skipped
@@ -422,7 +424,7 @@ def test_second_renders_its_y_mirror_once_an_orbit_meets_x_zero(monkeypatch, wor
     upper = set(axis_centers(-2.0, 2.0, 8)[4:].tolist())
     if pool:
         monkeypatch.setattr(fractal, "_POOL_LANES", pool)
-    seen_y, seen_z = _spy_on_step(monkeypatch, "second")
+    seen_y, seen_z, _ = _spy_on_step(monkeypatch, "second")
     assert np.array_equal(render_grid(cfg, workers=workers).counts, want)
     assert upper <= seen_y
     assert seen_z and not seen_z & upper
@@ -450,27 +452,54 @@ def test_render_memory_is_the_counts_plus_one_pool():
     (1, [6]),
     (3, [2, 2, 2]),
     (4, [2, 2, 1, 1]),
-    (8, [1] * 6),        # more slabs than z-planes: one slab per plane
+    (8, [1] * 6),        # more slabs than x-columns: one slab per column
 ])
-def test_workers_is_a_z_slab_count(monkeypatch, workers, lengths):
+def test_workers_is_an_x_slab_count(monkeypatch, workers, lengths):
     real = fractal._render_block
     slabs, blocks, threads = [], [], []
 
-    def spy(cfg, xs, ys, zs, *mirror):
-        slabs.append(zs)
+    def spy(cfg, xs, ys, zs):
+        slabs.append(xs)
         threads.append(threading.get_ident())
-        blocks.append(real(cfg, xs, ys, zs, *mirror))
+        blocks.append(real(cfg, xs, ys, zs))
         return blocks[-1]
 
     monkeypatch.setattr(fractal, "_render_block", spy)
-    cfg = FractalConfig(n_max=20, resolution=(3, 2, 6))
+    cfg = FractalConfig(n_max=20, resolution=(6, 2, 3))
     grid = render_grid(cfg, workers=workers)
-    # the slabs tile the z-axis in order and render in turn on this thread
+    # the slabs tile the x-axis in order and render in turn on this thread
     assert [len(s) for s in slabs] == lengths
     assert np.array_equal(np.concatenate(slabs), axis_centers(-2.0, 2.0, 6))
     assert set(threads) == {threading.get_ident()}
+    assert np.array_equal(grid.counts, lockstep_counts(cfg))
     if len(blocks) == 1:
         assert grid.counts is blocks[0]  # one slab is returned without a copy
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 17])
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_a_member_lane_is_stepped_n_max_minus_2_times(monkeypatch, approach, n_max):
+    # a lane alive after iteration n_max - 1 is a member whatever h_n_max
+    # is: the step to h_n_max is never taken, and at n_max <= 2 no step is
+    *_, lanes = _spy_on_step(monkeypatch, approach)
+    assert escape_time(CartesianVec((0.0, 0.0, 0.0)), FractalConfig(approach, n_max)) == n_max
+    assert lanes == [1] * max(n_max - 2, 0)
+    # a box of 125 members, none mirrored, on one pool that never compacts
+    lanes.clear()
+    cfg = FractalConfig(approach, n_max, ((-0.2, 0.1),) * 3, (5, 5, 5))
+    assert (render_grid(cfg).counts == n_max).all()
+    assert lanes == [125] * max(n_max - 2, 0)
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_kernels_are_never_called_at_n_max_up_to_2(monkeypatch, approach, n_max):
+    cfg = FractalConfig(approach, n_max, _MIXED, (7, 3, 3))
+    want = lockstep_counts(cfg)
+    *_, lanes = _spy_on_step(monkeypatch, approach)
+    assert np.array_equal(render_grid(cfg, workers=2).counts, want)
+    assert (render_grid(FractalConfig(approach, n_max, resolution=(9, 8, 8))).counts <= 2).all()
+    assert lanes == []
 
 
 def test_single_cell_grid_is_member():
