@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -37,7 +36,6 @@ from .core import (
     to_spherical,
 )
 
-ENV_FORMAT = "HYPERCOMPLEX_FORMAT"
 _FORMATS = ("text", "json-lines", "csv")
 
 
@@ -87,31 +85,6 @@ def _resolution(text: str) -> tuple[int, int, int]:
         return rx, ry, rz
     except ValueError:
         raise argparse.ArgumentTypeError(f"resolution must be rx,ry,rz, got {text!r}")
-
-
-def _load_config(path: str) -> dict:
-    conf = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
-    return conf
-
-
-def _resolve_format(args) -> str:
-    fmt = args.format
-    if fmt is None and args.config:
-        fmt = _load_config(args.config).get("format")
-    if fmt is None:
-        fmt = os.environ.get(ENV_FORMAT)
-    if fmt is None:
-        fmt = "text"
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown output format {fmt!r}, expected one of {_FORMATS}")
-    return fmt
 
 
 def _parse_value(values: tuple[float, ...], form: str, dim):
@@ -231,15 +204,18 @@ def _cmd_relativity_check(args) -> int:
             d = relativity.EventDelta(*(rng.uniform(-3, 3) for _ in range(4)))
             pairs.append((d, rng.uniform(-0.99, 0.99)))
 
+    # every row before the first line, so a failing row leaves stdout empty
+    rows = []
+    for d, beta in pairs:
+        spatial, _ = relativity.square_and_project(relativity.lorentz_boost(d, beta))
+        target = abs(relativity.interval_sq(d))
+        rows.append((d, beta, spatial, target, abs(spatial - target)))
+
     if fmt == "csv":
         print("dx,dy,dz,cdt,beta,spatial_modulus,abs_ds2,residual")
     elif fmt == "text":
         print(f"{'delta':>36} {'beta':>7} {'spatial_mod':>14} {'|ds^2|':>14} {'residual':>10}")
-    for d, beta in pairs:
-        boosted = relativity.lorentz_boost(d, beta)
-        spatial, _ = relativity.square_and_project(boosted)
-        target = abs(relativity.interval_sq(d))
-        residual = abs(spatial - target)
+    for d, beta, spatial, target, residual in rows:
         if fmt == "json-lines":
             print(json.dumps({
                 "delta": [d.dx, d.dy, d.dz, d.cdt], "beta": beta,
@@ -274,7 +250,7 @@ def _cmd_fractal(args) -> int:
             save_as = "voxel_raw"
     # a slice image needs only its plane; the wrote line keeps the full lattice
     render = fractal._slice_config(cfg) if save_as == "pgm_slice" else cfg
-    grid = fractal.render_grid(render, workers=args.workers)
+    grid = fractal.render_grid(render)
     fractal.export_grid(grid, save_as, args.out)
     print(f"wrote {args.out} ({save_as}, {'x'.join(map(str, cfg.resolution))}, n_max={cfg.n_max})")
     return 0
@@ -283,13 +259,12 @@ def _cmd_fractal(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 # One parser per process: building it costs milliseconds, and parse_args
-# leaves it unchanged.  main resolves the output format after parsing.
+# leaves it unchanged.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=_FORMATS, default=None,
-                        help=f"output format (default from config file, then ${ENV_FORMAT}, then text)")
-    common.add_argument("--config", default=None, help="key=value defaults file")
+    common.add_argument("--format", choices=_FORMATS, default="text",
+                        help="output format (default text)")
 
     value = argparse.ArgumentParser(add_help=False, parents=[common])
     value.add_argument("--form", choices=("spherical", "cartesian"), default="spherical",
@@ -349,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--save-as", choices=("pgm_slice", "csv", "voxel_raw"), default=None,
                    help="default: inferred from --out extension (.pgm, .csv, else voxel)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="x-slab count, rendered in turn; the output is the same for any count")
     p.set_defaults(func=_cmd_fractal)
 
     p = sub.add_parser("relativity-check", parents=[common],
@@ -378,8 +351,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "format" in args:  # fractal takes no output format
-            args.format = _resolve_format(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

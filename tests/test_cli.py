@@ -136,22 +136,21 @@ def test_property_check_csv_quotes_the_detail(capsys):
     assert any("," in r.detail for r in want)  # the rows a plain join would split
 
 
-def test_env_var_sets_default_format(capsys, monkeypatch):
+def test_format_ignores_the_environment(capsys, monkeypatch):
+    # --format is the only source of the output format; its default is text
     monkeypatch.setenv("HYPERCOMPLEX_FORMAT", "json-lines")
     code, out, _ = run(capsys, "inv", "3,0.1,0.2")
-    assert code == 0
-    assert out.startswith("{")
+    assert (code, out) == (0, "0.333333333,6.18318531,-0.2\n")
 
 
-def test_config_file_sets_format_and_flag_overrides(capsys, tmp_path, monkeypatch):
+def test_config_file_is_not_an_option(capsys, tmp_path):
     conf = tmp_path / "conf"
-    conf.write_text("# defaults\nformat=json-lines\n")
+    conf.write_text("format=json-lines\n", encoding="utf-8")
     code, out, _ = run(capsys, "inv", "--config", str(conf), "3,0.1,0.2")
-    assert code == 0
-    assert out.startswith("{")
-    code, out, _ = run(capsys, "inv", "--config", str(conf), "--format", "text", "3,0.1,0.2")
-    assert code == 0
-    assert not out.startswith("{")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "inv", f"--config={conf}", "3,0.1,0.2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --config=" in err
 
 
 def test_domain_errors_exit_1(capsys):
@@ -198,13 +197,13 @@ def test_trials_must_be_a_positive_integer(capsys, command, trials):
     assert f"argument --trials: must be a positive integer, got '{trials}'" in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "1.5", "x"])
-def test_fractal_workers_must_be_a_positive_integer(capsys, tmp_path, workers):
+def test_fractal_takes_no_workers_option(capsys, tmp_path):
+    # the slab count is a library parameter; the CLI renders one slab
     out_path = tmp_path / "x.csv"
-    code, out, err = run(capsys, "fractal", "--res", "2,2,2", "--workers", workers,
+    code, out, err = run(capsys, "fractal", "--res", "2,2,2", "--workers", "2",
                          "--out", str(out_path))
     assert code == 2 and out == ""
-    assert f"argument --workers: must be a positive integer, got '{workers}'" in err
+    assert "unrecognized arguments: --workers 2" in err
     assert not out_path.exists()
 
 
@@ -236,7 +235,7 @@ def test_fractal_n_max_past_the_int32_counts_exits_1(capsys, tmp_path):
     assert not out_path.exists()
     code, out, _ = run(capsys, "fractal", "--nmax", "2147483647", "--res", "1,1,1",
                        "--region=3:3,0:0,0:0", "--out", str(out_path))
-    assert code == 0 and out_path.read_text() == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
+    assert code == 0 and out_path.read_text(encoding="utf-8") == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
 
 
 def test_successive_calls_reuse_the_parser_without_carrying_state(capsys):
@@ -288,6 +287,17 @@ def test_relativity_check_seeded(capsys):
     assert len(out.splitlines()) == 5  # header + 4 rows
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
+@pytest.mark.parametrize("argv, message", [
+    (("--delta", "1,0,0,2", "--beta", "0.5", "--beta", "1"), "|beta| must be < 1, got 1.0"),
+    (("--delta", "1e200,0,0,2", "--beta", "0.5"), "modulus 1.2909944487358058e+200 ** 2 overflows"),
+], ids=["beta", "overflow"])
+def test_relativity_check_failing_row_leaves_stdout_empty(capsys, fmt, argv, message):
+    # a later row's error must not follow a header and earlier rows
+    code, out, err = run(capsys, "relativity-check", "--format", fmt, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_algebra_commands_do_not_import_numpy():
     # a fresh interpreter, since this one has numpy loaded already
     import hypercomplex
@@ -305,7 +315,7 @@ def test_algebra_commands_do_not_import_numpy():
     src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
@@ -330,7 +340,7 @@ def test_algebra_commands_load_neither_dataclasses_nor_numpy():
     src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     checks_after_mul, heavy = json.loads(proc.stdout.splitlines()[-1])
     assert not checks_after_mul

@@ -629,7 +629,7 @@ def test_fractal_import_does_not_load_dataclasses():
     src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -740,13 +740,13 @@ def test_csv_rows(tmp_path):
     cfg = FractalConfig(region=((0.0, 0.0),) * 3, resolution=(1, 1, 1), n_max=10)
     out = tmp_path / "grid.csv"
     export_grid(render_grid(cfg), "csv", out)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x,y,z,escape"
     assert lines[1].endswith(",-1")
     cfg = FractalConfig(region=((3.0, 3.0), (0.0, 0.0), (0.0, 0.0)),
                         resolution=(1, 1, 1), n_max=10)
     export_grid(render_grid(cfg), "csv", out)
-    row = out.read_text().splitlines()[1]
+    row = out.read_text(encoding="utf-8").splitlines()[1]
     assert row.split(",")[-1] == "1"
     assert float(row.split(",")[0]) == 3.0
 
@@ -760,7 +760,7 @@ def test_csv_suffix_table_follows_the_counts_not_n_max(tmp_path):
     start = time.perf_counter()
     export_grid(render_grid(cfg), "csv", out)
     assert time.perf_counter() - start < 0.5
-    assert out.read_text() == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
+    assert out.read_text(encoding="utf-8") == "x,y,z,escape\n3.000000000e+00,0.000000000e+00,0.000000000e+00,1\n"
 
 
 _CSV_BOX = (((-1.5, 1.0), (-1.2, 1.2), (-0.9, 0.3)), (7, 5, 3))
@@ -807,7 +807,7 @@ def test_voxel_raw_layout(tmp_path):
                 for ix in range(3):
                     want = escape_byte(int(grid.counts[ix, iy, iz]), cfg.n_max)
                     assert data[ix + 3 * iy + 6 * iz] == want
-        meta = (tmp_path / "vol.raw.meta").read_text()
+        meta = (tmp_path / "vol.raw.meta").read_text(encoding="utf-8")
         assert f"n_max={n_max}" in meta and "approach=first" in meta
 
 
