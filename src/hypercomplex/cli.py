@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 
@@ -46,6 +45,13 @@ def _floats(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
+
+
+def _delta(text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    if len(values) != 4:
+        raise argparse.ArgumentTypeError(f"delta must be four numbers dx,dy,dz,cdt, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -191,18 +197,7 @@ def _cmd_property_check(args) -> int:
 
 def _cmd_relativity_check(args) -> int:
     fmt = args.format
-    pairs = []
-    deltas = [relativity.EventDelta(*d) for d in (args.delta or [])]
-    betas = args.beta or []
-    if deltas:
-        if not betas:
-            betas = [0.0]
-        pairs = [(d, b) for d in deltas for b in betas]
-    else:
-        rng = random.Random(args.seed)
-        for _ in range(args.trials):
-            d = relativity.EventDelta(*(rng.uniform(-3, 3) for _ in range(4)))
-            pairs.append((d, rng.uniform(-0.99, 0.99)))
+    pairs = [(relativity.EventDelta(*d), b) for d in args.delta for b in args.beta or [0.0]]
 
     # every row before the first line, so a failing row leaves stdout empty
     rows = []
@@ -240,19 +235,13 @@ def _cmd_fractal(args) -> int:
         resolution=args.res,
         slice_spec=args.slice,
     )
-    save_as = args.save_as
-    if save_as is None:
-        if args.out.endswith(".pgm"):
-            save_as = "pgm_slice"
-        elif args.out.endswith(".csv"):
-            save_as = "csv"
-        else:
-            save_as = "voxel_raw"
+    # the --out extension names the format: .pgm, .csv, else raw voxels
+    fmt = {".pgm": "pgm_slice", ".csv": "csv"}.get(args.out[-4:], "voxel_raw")
     # a slice image needs only its plane; the wrote line keeps the full lattice
-    render = fractal._slice_config(cfg) if save_as == "pgm_slice" else cfg
+    render = fractal._slice_config(cfg) if fmt == "pgm_slice" else cfg
     grid = fractal.render_grid(render)
-    fractal.export_grid(grid, save_as, args.out)
-    print(f"wrote {args.out} ({save_as}, {'x'.join(map(str, cfg.resolution))}, n_max={cfg.n_max})")
+    fractal.export_grid(grid, fmt, args.out)
+    print(f"wrote {args.out} ({fmt}, {'x'.join(map(str, cfg.resolution))}, n_max={cfg.n_max})")
     return 0
 
 
@@ -321,17 +310,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="x0:x1,y0:y1,z0:z1")
     p.add_argument("--res", type=_resolution, default=(64, 64, 64), metavar="rx,ry,rz")
     p.add_argument("--slice", type=_slice_spec, default=None, metavar="AXIS=VALUE")
-    p.add_argument("--out", required=True)
-    p.add_argument("--save-as", choices=("pgm_slice", "csv", "voxel_raw"), default=None,
-                   help="default: inferred from --out extension (.pgm, .csv, else voxel)")
+    p.add_argument("--out", required=True,
+                   help="output file; its extension picks the format (.pgm, .csv, else voxel)")
     p.set_defaults(func=_cmd_fractal)
 
     p = sub.add_parser("relativity-check", parents=[common],
                        help="interval-invariance table for boosted displacements")
-    p.add_argument("--delta", type=_floats, action="append", metavar="dx,dy,dz,cdt")
-    p.add_argument("--beta", type=float, action="append")
-    p.add_argument("--trials", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=_delta, action="append", required=True,
+                   metavar="dx,dy,dz,cdt", help="displacement to boost; repeat for more")
+    p.add_argument("--beta", type=float, action="append",
+                   help="boost speed as a fraction of c (default 0); repeat for more")
     p.set_defaults(func=_cmd_relativity_check)
 
     # values like "-1,0,0" and regions like "-2:2,..." must parse as

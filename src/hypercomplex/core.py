@@ -481,7 +481,7 @@ def pow_int(h: SphericalForm, m: int) -> SphericalForm:
     try:
         r = h.modulus ** m
     except OverflowError:
-        raise ValueError(f"modulus {h.modulus!r} ** {m} overflows") from None
+        r = math.inf  # _form names the overflow
     return _form(r, tuple(m * t for t in h.args))
 
 

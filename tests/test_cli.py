@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -163,7 +164,7 @@ def test_domain_errors_exit_1(capsys):
 def test_pow_overflow_exits_1(capsys):
     code, out, err = run(capsys, "pow", "-m", "2", "1e200,0.1,0.2")
     assert code == 1 and out == ""
-    assert err == "error: modulus 1e+200 ** 2 overflows\n"
+    assert err == "error: result modulus overflowed to inf\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -189,10 +190,9 @@ def test_mul_cartesian_with_subnormal_leading_components(capsys):
     assert out == "-1.8369702e-16,-1,1.41421356\n"
 
 
-@pytest.mark.parametrize("command", ["property-check", "relativity-check"])
 @pytest.mark.parametrize("trials", ["0", "-3", "1.5", "x"])
-def test_trials_must_be_a_positive_integer(capsys, command, trials):
-    code, out, err = run(capsys, command, "--trials", trials)
+def test_trials_must_be_a_positive_integer(capsys, trials):
+    code, out, err = run(capsys, "property-check", "--trials", trials)
     assert code == 2 and out == ""
     assert f"argument --trials: must be a positive integer, got '{trials}'" in err
 
@@ -205,6 +205,29 @@ def test_fractal_takes_no_workers_option(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "unrecognized arguments: --workers 2" in err
     assert not out_path.exists()
+
+
+def test_fractal_takes_its_format_from_out_alone(capsys, tmp_path):
+    # no option may override the format the --out extension names
+    out_path = tmp_path / "x.raw"
+    code, out, err = run(capsys, "fractal", "--res", "2,2,2", "--save-as", "csv",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --save-as csv" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_help_renders_and_names_only_options_the_parser_takes(capsys):
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {}
+    for argv in (["--help"], *([name, "--help"] for name in sub.choices)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: hypercomplex")
+        helps[argv[0]] = out
+    assert not any("--save-as" in text for text in helps.values())
+    assert "--trials" not in helps["relativity-check"]
+    assert "--seed" not in helps["relativity-check"]
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -281,16 +304,26 @@ def test_relativity_check_table(capsys):
     assert float(row[7]) <= 1e-9                           # residual
 
 
-def test_relativity_check_seeded(capsys):
-    code, out, _ = run(capsys, "relativity-check", "--trials", "4", "--seed", "1")
-    assert code == 0
-    assert len(out.splitlines()) == 5  # header + 4 rows
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: --delta"),
+    (("--beta", "0.5"), "the following arguments are required: --delta"),
+    (("--delta", "1,0,0"), "argument --delta: delta must be four numbers dx,dy,dz,cdt, got '1,0,0'"),
+    (("--delta", "1,0,0,2,3"),
+     "argument --delta: delta must be four numbers dx,dy,dz,cdt, got '1,0,0,2,3'"),
+    (("--delta", "1,0,0,2", "--trials", "3"), "unrecognized arguments: --trials 3"),
+], ids=["no-delta", "beta-only", "three-numbers", "five-numbers", "trials"])
+def test_relativity_check_boosts_only_the_given_deltas(capsys, fmt, argv, message):
+    # the table is made of the given displacements alone, each four numbers
+    code, out, err = run(capsys, "relativity-check", "--format", fmt, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
 @pytest.mark.parametrize("argv, message", [
     (("--delta", "1,0,0,2", "--beta", "0.5", "--beta", "1"), "|beta| must be < 1, got 1.0"),
-    (("--delta", "1e200,0,0,2", "--beta", "0.5"), "modulus 1.2909944487358058e+200 ** 2 overflows"),
+    (("--delta", "1e200,0,0,2", "--beta", "0.5"), "result modulus overflowed to inf"),
 ], ids=["beta", "overflow"])
 def test_relativity_check_failing_row_leaves_stdout_empty(capsys, fmt, argv, message):
     # a later row's error must not follow a header and earlier rows
@@ -307,7 +340,7 @@ def test_algebra_commands_do_not_import_numpy():
         "from hypercomplex.cli import main\n"
         "for argv in (['mul', '2,1,0.5', '3,0.5,0.2'],\n"
         "             ['roots', '-m', '2', '--form', 'cartesian', '4,0,0'],\n"
-        "             ['relativity-check', '--trials', '2'],\n"
+        "             ['relativity-check', '--delta', '1,0,0,2', '--beta', '0.5'],\n"
         "             ['property-check', '--trials', '2']):\n"
         "    assert main(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n"
@@ -331,7 +364,7 @@ def test_algebra_commands_load_neither_dataclasses_nor_numpy():
         "assert main(['mul', '2,1,0.5', '3,0.5,0.2']) == 0\n"
         "after_mul = 'hypercomplex.checks' in sys.modules\n"
         "for argv in (['roots', '-m', '2', '--form', 'cartesian', '4,0,0'],\n"
-        "             ['relativity-check', '--trials', '2'],\n"
+        "             ['relativity-check', '--delta', '1,0,0,2', '--beta', '0.5'],\n"
         "             ['property-check', '--trials', '2']):\n"
         "    assert main(argv) == 0, argv\n"
         "added = set(sys.modules) - before\n"

@@ -718,6 +718,15 @@ def test_one_plane_render_is_the_plane_of_the_full_render(tmp_path, axis, approa
     assert (tmp_path / "one.pgm").read_bytes() == (tmp_path / "full.pgm").read_bytes()
 
 
+@pytest.mark.parametrize("c", [5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308, 0.1, -1.9,
+                               1.7976931348623157e308])
+def test_one_cell_axis_over_a_point_is_that_point(c):
+    # _slice_config narrows the sliced axis to (c, c) at one cell and needs c
+    # back bit for bit; a midpoint 0.5*lo + 0.5*hi would give 0.0 for 5e-324
+    [got] = axis_centers(c, c, 1).tolist()
+    assert float.hex(got) == float.hex(c)
+
+
 def test_pgm_orientation_top_row_is_high_coordinate(tmp_path):
     # member at the high-y cell only; the top PGM row must carry the 0 byte
     # (n_max 1 and 2 are the smallest byte scales: all members, and 1 or 0)

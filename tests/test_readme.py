@@ -2,9 +2,11 @@
 
 Each ``hypercomplex ...`` line of the CLI section's ``sh`` block goes through
 ``cli.main`` and must exit 0; a ``# `` comment below it made only of numbers
-is that command's exact stdout.  The library quickstart is executed.
+is that command's exact stdout.  Every ``--option`` the README names is one
+some subcommand takes.  The library quickstart is executed.
 """
 
+import argparse
 import pathlib
 import re
 import shlex
@@ -52,6 +54,15 @@ def test_cli_example_runs(capsys, tmp_path, monkeypatch, argv, want):
     assert code == 0
     if want is not None:
         assert out == want
+
+
+def test_every_option_the_readme_names_is_accepted():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {opt for p in sub.choices.values() for opt in p._option_string_actions}
+    named = set(re.findall(r"(?<![-\w])--[a-z][-a-z]*", README))
+    assert len(named) >= 10
+    assert named <= accepted, sorted(named - accepted)
 
 
 def test_library_quickstart_runs():
