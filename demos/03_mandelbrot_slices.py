@@ -31,7 +31,7 @@ for approach in ("first", "second"):
             resolution=resolution,
             slice_spec=(axis, 0.0),
         )
-        grid = render_grid(cfg, workers=4)
+        grid = render_grid(cfg)
         members = int((grid.counts == cfg.n_max).sum())
         path = OUT / f"{approach}_{axis}0.pgm"
         export_grid(grid, "pgm_slice", path)
@@ -40,7 +40,7 @@ for approach in ("first", "second"):
 print()
 cfg = FractalConfig(approach="first", n_max=60, region=((-2.0, 2.0),) * 3,
                     resolution=(48, 48, 48))
-grid = render_grid(cfg, workers=4)
+grid = render_grid(cfg)
 members = int((grid.counts == cfg.n_max).sum())
 print(f"48^3 volume: {members} member cells of {48 ** 3}")
 

@@ -7,8 +7,8 @@ prints 9 significant digits; ``--format json-lines`` carries full binary
 precision; ``--format csv`` adds one header row per command.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
-longitude, a result modulus past the float range, a fractal box or slice
-that is not finite, unwritable file), 2 usage error.
+longitude, a result modulus or an exponent past the float range, a fractal
+box or slice that is not finite, unwritable file), 2 usage error.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def _cmd_property_check(args) -> int:
     from . import checks  # only this command runs the probes
 
     fmt = args.format
-    results = checks.run_property_checks(seed=args.seed, trials=args.trials)
+    given = {k: v for k, v in vars(args).items() if k in ("seed", "trials")}
+    results = checks.run_property_checks(**given)
     if fmt == "csv":
         import csv  # details hold commas and quotes
 
@@ -228,13 +229,8 @@ def _cmd_relativity_check(args) -> int:
 def _cmd_fractal(args) -> int:
     from . import fractal  # numpy loads only for renders
 
-    cfg = fractal.FractalConfig(
-        approach=args.approach,
-        n_max=args.nmax,
-        region=args.region,
-        resolution=args.res,
-        slice_spec=args.slice,
-    )
+    fields = fractal.FractalConfig.__slots__  # each option's dest is a field
+    cfg = fractal.FractalConfig(**{k: v for k, v in vars(args).items() if k in fields})
     # the --out extension names the format: .pgm, .csv, else raw voxels
     fmt = {".pgm": "pgm_slice", ".csv": "csv"}.get(args.out[-4:], "voxel_raw")
     # a slice image needs only its plane; the wrote line keeps the full lattice
@@ -297,19 +293,20 @@ def _build_parser() -> argparse.ArgumentParser:
                 lambda a, h: [extensions.conjugate(h, a.variant)])
     p.add_argument("--variant", choices=("full", "second", "third"), default="full")
 
-    p = sub.add_parser("property-check", parents=[common],
+    # an option not given stays out of args, so the library's default holds
+    p = sub.add_parser("property-check", parents=[common], argument_default=argparse.SUPPRESS,
                        help="run the seeded invariant suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_positive_int)
     p.set_defaults(func=_cmd_property_check)
 
-    p = sub.add_parser("fractal", help="render an escape-time lattice")
-    p.add_argument("--approach", choices=("first", "second"), default="first")
-    p.add_argument("--nmax", type=int, default=100)
-    p.add_argument("--region", type=_region, default=((-2.0, 2.0),) * 3,
-                   metavar="x0:x1,y0:y1,z0:z1")
-    p.add_argument("--res", type=_resolution, default=(64, 64, 64), metavar="rx,ry,rz")
-    p.add_argument("--slice", type=_slice_spec, default=None, metavar="AXIS=VALUE")
+    p = sub.add_parser("fractal", argument_default=argparse.SUPPRESS,
+                       help="render an escape-time lattice")
+    p.add_argument("--approach", choices=("first", "second"))
+    p.add_argument("--nmax", type=int, dest="n_max", metavar="NMAX")
+    p.add_argument("--region", type=_region, metavar="x0:x1,y0:y1,z0:z1")
+    p.add_argument("--res", type=_resolution, dest="resolution", metavar="rx,ry,rz")
+    p.add_argument("--slice", type=_slice_spec, dest="slice_spec", metavar="AXIS=VALUE")
     p.add_argument("--out", required=True,
                    help="output file; its extension picks the format (.pgm, .csv, else voxel)")
     p.set_defaults(func=_cmd_fractal)
@@ -340,7 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ from .core import (
     HALF_PI,
     TAU,
     CartesianVec,
-    DegenerateArgs,
     SphericalForm,
     _Value,
     _canonical_args,
@@ -251,16 +250,13 @@ def _generic_families(
     return generic
 
 
-def replicate_products(
-    a: SphericalForm, b: SphericalForm, canonical: bool = False
-) -> tuple[SphericalForm, ...]:
+def replicate_products(a: SphericalForm, b: SphericalForm) -> tuple[SphericalForm, ...]:
     """The four products of two 3D values, one per choice of replicate.
 
     All share modulus ``r r'`` and longitude ``theta' + theta''``; the
     latitudes are ``phi' + phi''``, ``phi'' - phi'``, ``phi' - phi''`` and
-    ``-phi' - phi''`` (pairwise opposite: 1st/4th and 2nd/3rd).  Reported raw
-    by default since the spread of latitudes is the point; pass
-    ``canonical=True`` for reduced tuples.
+    ``-phi' - phi''`` (pairwise opposite: 1st/4th and 2nd/3rd).  Reported
+    raw, since the spread of latitudes is the point.
     """
     if a.dim != 3 or b.dim != 3:
         raise ValueError("replicate products are enumerated for dimension 3 only")
@@ -268,7 +264,7 @@ def replicate_products(
     lon = a.args[0] + b.args[0]
     pa, pb = a.args[1], b.args[1]
     return tuple(
-        _form(r, (lon, lat), canonical)
+        _form(r, (lon, lat), canonical=False)
         for lat in (pa + pb, pb - pa, pa - pb, -pa - pb)
     )
 
@@ -302,25 +298,18 @@ def scalar_embed(s: float, dim: int) -> SphericalForm:
     return SphericalForm(-s, tuple(args))
 
 
-def distributivity_residual(
-    a: CartesianVec,
-    b: CartesianVec,
-    c: CartesianVec,
-    a_fallback: Optional[DegenerateArgs] = None,
-    b_fallback: Optional[DegenerateArgs] = None,
-    c_fallback: Optional[DegenerateArgs] = None,
-    sum_fallback: Optional[DegenerateArgs] = None,
-) -> CartesianVec:
+def distributivity_residual(a: CartesianVec, b: CartesianVec, c: CartesianVec) -> CartesianVec:
     """``a*(b + c) - (a*b + a*c)``, componentwise.
 
     Zero exactly when b and c are collinear through the origin (equal
     longitude and latitude); generically nonzero -- the product does not
-    distribute over addition.  Degenerate operands need fallbacks, including
-    ``sum_fallback`` for ``b + c``; degenerate-longitude errors propagate.
+    distribute over addition.  A degenerate nonzero operand, or a degenerate
+    nonzero ``b + c``, has no longitudes to multiply with and raises
+    :class:`DegenerateLongitudeError`.
     """
-    lhs = mul_cartesian(a, add(b, c), a_fallback, sum_fallback)
-    ab = mul_cartesian(a, b, a_fallback, b_fallback)
-    ac = mul_cartesian(a, c, a_fallback, c_fallback)
+    lhs = mul_cartesian(a, add(b, c))
+    ab = mul_cartesian(a, b)
+    ac = mul_cartesian(a, c)
     return _vec(tuple(
         l - (p + q) for l, p, q in zip(lhs.components, ab.components, ac.components)
     ))

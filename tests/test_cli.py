@@ -167,6 +167,18 @@ def test_pow_overflow_exits_1(capsys):
     assert err == "error: result modulus overflowed to inf\n"
 
 
+_HUGE = "1" + "0" * 400  # an int past the float range
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+@pytest.mark.parametrize("command", ["pow", "roots"])
+def test_an_exponent_past_the_float_range_exits_1(capsys, command, fmt):
+    code, out, err = run(capsys, command, "--format", fmt, "-m", _HUGE, "1,0.1,0.2")
+    assert (code, out) == (1, "")
+    assert err == "error: int too large to convert to float\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mul", "1e200,0.1,0.2", "1e200,0.1,0.2"), "result modulus overflowed to inf"),
     (("div", "1e200,0.1,0.2", "1e-200,0.1,0.2"), "result modulus overflowed to inf"),
@@ -228,6 +240,8 @@ def test_every_help_renders_and_names_only_options_the_parser_takes(capsys):
     assert not any("--save-as" in text for text in helps.values())
     assert "--trials" not in helps["relativity-check"]
     assert "--seed" not in helps["relativity-check"]
+    # options named after FractalConfig fields keep their flag-style metavars
+    assert "[--nmax NMAX]" in helps["fractal"] and "N_MAX" not in helps["fractal"]
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -290,6 +304,22 @@ def test_property_check_deterministic(capsys):
     assert code == 0
     assert first == second
     assert all(line.startswith("PASS") for line in first.splitlines())
+
+
+def _report_text(results):
+    return "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results)
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    ((), {}),
+    (("--seed", "3", "--trials", "5"), {"seed": 3, "trials": 5}),
+], ids=["defaults", "given"])
+def test_property_check_takes_its_defaults_from_the_library(capsys, argv, kwargs):
+    from hypercomplex import checks
+
+    code, out, err = run(capsys, "property-check", *argv)
+    assert (code, err) == (0, "")
+    assert out == _report_text(checks.run_property_checks(**kwargs))
 
 
 def test_relativity_check_table(capsys):
@@ -419,6 +449,21 @@ def _sliced_argv(out_path):
             "--out", str(out_path)]
 
 
+@pytest.mark.parametrize("argv, fields", [
+    ((), {}),
+    (("--approach", "second", "--nmax", "7"), {"approach": "second", "n_max": 7}),
+    (("--region=-1:1,-0.5:0.5,0:2", "--slice", "x=0.25"),
+     {"region": ((-1.0, 1.0), (-0.5, 0.5), (0.0, 2.0)), "slice_spec": ("x", 0.25)}),
+], ids=["defaults", "approach-nmax", "region-slice"])
+def test_fractal_renders_exactly_the_given_options(capsys, tmp_path, monkeypatch, argv, fields):
+    # an option not given takes FractalConfig's own default
+    fractal, _, seen = _render_spy(monkeypatch)
+    out_path = tmp_path / "x.raw"
+    code, _, err = run(capsys, "fractal", "--res", "2,2,2", *argv, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert seen == [fractal.FractalConfig(resolution=(2, 2, 2), **fields)]
+
+
 def test_fractal_pgm_slice_renders_only_its_plane(capsys, tmp_path, monkeypatch):
     fractal, real, seen = _render_spy(monkeypatch)
     full = fractal.FractalConfig(*_SLICED)
@@ -445,7 +490,10 @@ def test_fractal_slice_with_other_outputs_renders_the_full_lattice(capsys, tmp_p
     code, out, _ = run(capsys, *_sliced_argv(out_path))
     assert code == 0
     assert out == f"wrote {out_path} ({fmt}, 9x7x6, n_max=30)\n"
+    # every option is given, and each differs from its default
     assert seen == [full]
+    assert all(getattr(full, k) != getattr(fractal.FractalConfig(), k)
+               for k in fractal.FractalConfig.__slots__)
     want = tmp_path / f"want.{ext}"
     fractal.export_grid(real(full), fmt, want)
     assert out_path.read_bytes() == want.read_bytes()

@@ -416,7 +416,7 @@ def test_replicate_products_match_replicate_combinations():
     rng = random.Random(33)
     for _ in range(100):
         a, b = random_form(rng, 3), random_form(rng, 3)
-        table = replicate_products(a, b, canonical=True)
+        table = replicate_products(a, b)
         combos = (
             mul_geometric(a, b),
             mul_geometric(a, replicate(b, 3)),
