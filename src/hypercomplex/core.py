@@ -125,21 +125,6 @@ class SphericalForm(_Value):
     def dim(self) -> int:
         return len(self.args) + 1
 
-    def to_cartesian(self) -> "CartesianVec":
-        return to_cartesian(self)
-
-    def canonicalize(self) -> "SphericalForm":
-        return canonicalize(self)
-
-    def __mul__(self, other: "SphericalForm") -> "SphericalForm":
-        return mul_geometric(self, other)
-
-    def __truediv__(self, other: "SphericalForm") -> "SphericalForm":
-        return divide(self, other)
-
-    def __pow__(self, m: int) -> "SphericalForm":
-        return pow_int(self, m)
-
 
 class CartesianVec(_Value):
     """Component form ``(x_1, ..., x_N)``, N >= 2, all components finite."""
@@ -158,9 +143,6 @@ class CartesianVec(_Value):
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    def to_spherical(self, fallback: Optional["DegenerateArgs"] = None) -> SphericalForm:
-        return to_spherical(self, fallback)
 
     def norm(self) -> float:
         return math.hypot(*self.components)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from enum import Enum
 from typing import Optional
 
 from .core import (
@@ -32,7 +31,6 @@ from .core import (
 )
 
 __all__ = [
-    "ConjugateVariant",
     "RootSet",
     "conjugate",
     "replicate",
@@ -59,12 +57,6 @@ _DEDUP_CELL = 1024 * _ROOT_DEDUP_TOL
 _DEDUP_REACH = 2 * _ROOT_DEDUP_TOL
 
 
-class ConjugateVariant(str, Enum):
-    FULL = "full"      # negate every argument: h * conj(h) is real r^2
-    SECOND = "second"  # 3D only, negate the longitude: product is r^2 e^(j 2 phi)
-    THIRD = "third"    # 3D only, negate the latitude:  product is r^2 e^(i 2 theta)
-
-
 class RootSet(_Value):
     """Deduplicated m-th roots plus how many candidates survived pre-dedup.
 
@@ -81,23 +73,23 @@ class RootSet(_Value):
         object.__setattr__(self, "multiplicity_note", multiplicity_note)
 
 
-def conjugate(
-    h: SphericalForm, variant: ConjugateVariant | str = ConjugateVariant.FULL
-) -> SphericalForm:
+def conjugate(h: SphericalForm, variant: str = "full") -> SphericalForm:
     """One of the three conjugates, canonicalized.
 
-    ``full`` works in any dimension; ``second`` and ``third`` reflect across
-    the two coordinate planes of 3D space and are rejected elsewhere.
+    ``full`` negates every argument, in any dimension: ``h * conj(h)`` is
+    the real ``r^2``.  ``second`` and ``third`` reflect across the two
+    coordinate planes of 3D space and are rejected elsewhere: ``second``
+    negates the longitude (the product is ``r^2 e^(j 2 phi)``), ``third``
+    the latitude (``r^2 e^(i 2 theta)``).
     """
-    variant = ConjugateVariant(variant)
-    if variant is ConjugateVariant.FULL:
+    if variant == "full":
         return _form(h.modulus, tuple(map(operator.neg, h.args)))
+    if variant not in ("second", "third"):
+        raise ValueError(f"conjugate variant must be 'full', 'second' or 'third', got {variant!r}")
     if h.dim != 3:
-        raise ValueError(
-            f"{variant.value} conjugate is defined for dimension 3 only, got {h.dim}"
-        )
+        raise ValueError(f"{variant} conjugate is defined for dimension 3 only, got {h.dim}")
     theta, phi = h.args
-    if variant is ConjugateVariant.SECOND:
+    if variant == "second":
         return _form(h.modulus, (-theta, phi))
     return _form(h.modulus, (theta, -phi))
 

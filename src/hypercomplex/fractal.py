@@ -168,8 +168,14 @@ def _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN) -> None:
         ZN[deg] = CZ[deg]
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
-    deg = (RHO2 == 0.0).nonzero()[0]
+    # F = 1 - z^2/rho^2 overflows where rho^2 is subnormal, so those lanes
+    # (the z-axis ones among them) are redone below as D - (D/rho^2) z^2 and
+    # 2xy - (2xy/rho^2) z^2, whose quotients are at most 1, as in second
+    sub = (RHO2 < _TINY).nonzero()[0]
     F = np.divide(ZZ, RHO2, out=ZN)
     np.subtract(1.0, F, out=F)
     np.multiply(D, F, out=XN)
@@ -181,7 +187,12 @@ def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     np.multiply(2.0, Z, out=ZN)
     ZN *= np.sqrt(RHO2, out=RHO2)
     ZN += CZ
-    _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN)
+    if sub.size:
+        x, y, d, zz = X[sub], Y[sub], D[sub], ZZ[sub]
+        r2, xy2 = x * x + y * y, 2.0 * x * y  # rho^2 as _squares made it
+        XN[sub] = (d - d / r2 * zz) + CX[sub]
+        YN[sub] = (xy2 - xy2 / r2 * zz) + CY[sub]
+        _z_axis_rule(sub[r2 == 0.0], ZZ, CX, CY, CZ, XN, YN, ZN)
     return 0
 
 
@@ -453,20 +464,15 @@ def _slice_config(cfg: FractalConfig) -> FractalConfig:
     return FractalConfig(cfg.approach, cfg.n_max, region, res, cfg.slice_spec)
 
 
-def _slice_plane(grid: MembershipGrid):
-    """2D view of the sliced plane plus (width, height) image geometry."""
-    ai, idx, _ = _slice_index(grid.config)
-    plane = np.take(grid.counts, idx, axis=ai)
-    # remaining axes in (x, y, z) order: first is image width, second height
-    return plane, plane.shape[0], plane.shape[1]
-
-
 def export_grid(grid: MembershipGrid, fmt: str, destination) -> None:
     """Write ``grid`` to ``destination`` as ``pgm_slice``, ``csv`` or
     ``voxel_raw`` (the latter with a ``<destination>.meta`` sidecar)."""
     cfg = grid.config
     if fmt == "pgm_slice":
-        plane, width, height = _slice_plane(grid)
+        ai, idx, _ = _slice_index(cfg)
+        # the remaining axes in (x, y, z) order are the image width and height
+        plane = np.take(grid.counts, idx, axis=ai)
+        width, height = plane.shape
         data = _byte_array(plane, cfg.n_max)
         with open(destination, "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -10,13 +10,11 @@ displacement itself.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .core import TAU, HALF_PI, CartesianVec, _Value, pow_int, to_cartesian, to_spherical
 
 __all__ = [
     "EventDelta",
-    "SquareProjection",
     "interval_sq",
     "square_and_project",
     "doubled_latitude_quadrant",
@@ -42,11 +40,6 @@ class EventDelta(_Value):
             object.__setattr__(self, name, v)
 
 
-class SquareProjection(NamedTuple):
-    spatial_modulus: float
-    time_component: float
-
-
 def interval_sq(d: EventDelta) -> float:
     """``ds^2 = (c*dt)^2 - dx^2 - dy^2 - dz^2`` (negative for spacelike)."""
     return d.cdt * d.cdt - d.dx * d.dx - d.dy * d.dy - d.dz * d.dz
@@ -58,16 +51,17 @@ def _as_form(d: EventDelta):
     return to_spherical(CartesianVec((d.dx, d.dy, d.dz, d.cdt)))
 
 
-def square_and_project(d: EventDelta) -> SquareProjection:
-    """Square the 4D form of ``d`` and project the result.
+def square_and_project(d: EventDelta) -> tuple[float, float]:
+    """Square the 4D form of ``d`` and project the result onto the pair
+    ``(spatial modulus, time component)``.
 
-    ``spatial_modulus`` is the Euclidean norm of the square's first three
+    The spatial modulus is the Euclidean norm of the square's first three
     Cartesian components (by ``hypot``, so it neither overflows nor
-    underflows) and equals ``|ds^2|``; ``time_component`` is the
-    fourth component and equals ``2 * cdt * sqrt(dx^2 + dy^2 + dz^2)``.
+    underflows) and equals ``|ds^2|``; the time component is the fourth
+    component and equals ``2 * cdt * sqrt(dx^2 + dy^2 + dz^2)``.
     """
     x, y, z, w = to_cartesian(pow_int(_as_form(d), 2)).components
-    return SquareProjection(math.hypot(x, y, z), w)
+    return math.hypot(x, y, z), w
 
 
 def doubled_latitude_quadrant(d: EventDelta) -> int:

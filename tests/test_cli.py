@@ -255,6 +255,28 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--region=-1:1,-1:1", "argument --region: region must look like x0:x1,y0:y1,z0:z1, "
+                           "got '-1:1,-1:1'"),
+    ("--region=a:b,-1:1,-1:1", "argument --region: region must look like x0:x1,y0:y1,z0:z1, "
+                               "got 'a:b,-1:1,-1:1'"),
+    ("--region=-1,1,-1", "argument --region: region must look like x0:x1,y0:y1,z0:z1, "
+                         "got '-1,1,-1'"),
+    ("--slice=w=0", "argument --slice: slice must look like z=0, got 'w=0'"),
+    ("--slice=z0", "argument --slice: slice must look like z=0, got 'z0'"),
+    ("--slice=z=x", "argument --slice: slice must look like z=0, got 'z=x'"),
+    ("--res=4,4", "argument --res: resolution must be rx,ry,rz, got '4,4'"),
+    ("--res=a,4,4", "argument --res: resolution must be rx,ry,rz, got 'a,4,4'"),
+], ids=["region-two-spans", "region-not-numbers", "region-no-colon", "slice-axis-w",
+        "slice-no-equals", "slice-not-a-number", "res-two", "res-not-a-number"])
+def test_fractal_malformed_options_exit_2(capsys, tmp_path, flag, message):
+    out_path = tmp_path / "x.pgm"
+    code, out, err = run(capsys, "fractal", flag, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--region=nan:1,-1:1,-1:1", "--region=-inf:inf,-1:1,-1:1",
                                   "--region=-1e308:1e308,-1:1,-1:1", "--slice=z=nan"])
 def test_fractal_non_finite_box_exits_1(capsys, tmp_path, flag):
@@ -320,6 +342,38 @@ def test_property_check_takes_its_defaults_from_the_library(capsys, argv, kwargs
     code, out, err = run(capsys, "property-check", *argv)
     assert (code, err) == (0, "")
     assert out == _report_text(checks.run_property_checks(**kwargs))
+
+
+def test_property_check_json_lines_are_the_library_results(capsys):
+    from hypercomplex import checks
+
+    code, out, err = run(capsys, "property-check", "--format", "json-lines")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 12
+    assert rows == [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                    for r in checks.run_property_checks()]
+
+
+def test_relativity_check_json_lines_carry_full_precision(capsys):
+    from hypercomplex import relativity
+
+    deltas = [(1.0, 0.0, 0.0, 2.0), (0.3, -1.7, 2.9, 0.1)]
+    betas = [0.6, -0.123456789]
+    code, out, err = run(capsys, "relativity-check", "--format", "json-lines",
+                         *(f"--delta={','.join(map(repr, d))}" for d in deltas),
+                         *(f"--beta={b!r}" for b in betas))
+    assert (code, err) == (0, "")
+    want = []
+    for d in deltas:
+        for beta in betas:
+            delta = relativity.EventDelta(*d)
+            spatial, _ = relativity.square_and_project(relativity.lorentz_boost(delta, beta))
+            target = abs(relativity.interval_sq(delta))
+            want.append({"delta": list(d), "beta": beta, "spatial_modulus": spatial,
+                         "abs_ds2": target, "residual": abs(spatial - target)})
+    assert [json.loads(line) for line in out.splitlines()] == want
+    assert any(row["residual"] != 0.0 for row in want)  # the last bits are compared too
 
 
 def test_relativity_check_table(capsys):

@@ -253,6 +253,15 @@ def test_canonicalize_is_idempotent_and_point_preserving():
         assert max_gap(to_cartesian(c).components, to_cartesian(h).components) < 1e-12
 
 
+@pytest.mark.parametrize("lon", [-5e-324, -1e-17])
+def test_canonicalize_longitude_just_below_zero_is_zero(lon):
+    # lon % TAU rounds up to TAU itself, which is out of [0, TAU)
+    assert lon % TAU == TAU
+    got = canonicalize(SphericalForm(1.0, (lon, 0.2)))
+    assert got.args == (0.0, 0.2) and math.copysign(1.0, got.args[0]) == 1.0
+    assert is_canonical(got)
+
+
 def test_canonical_already_unchanged():
     h = SphericalForm(2.0, (1.0, 0.3, -0.4))
     assert canonicalize(h) == h
@@ -269,6 +278,12 @@ def test_add_inverse_and_identity():
     v = CartesianVec((1.5, -2.0, 0.25))
     assert add(v, -v).components == (0.0, 0.0, 0.0)
     assert add(v, CartesianVec((0, 0, 0))) == v
+
+
+def test_identity_needs_dimension_two():
+    assert identity(2) == SphericalForm(1.0, (0.0,))
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        identity(1)
 
 
 def test_add_rejects_dim_mismatch():
@@ -310,6 +325,11 @@ def test_mul_geometric_modulus_exactly_multiplicative():
     for _ in range(300):
         a, b = random_form(rng, 4), random_form(rng, 4)
         assert mul_geometric(a, b).modulus == a.modulus * b.modulus
+
+
+def test_mul_cartesian_rejects_dim_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: 3 != 4"):
+        mul_cartesian(CartesianVec((1, 2, 3)), CartesianVec((1, 2, 3, 4)))
 
 
 def test_mul_cartesian_identity():
@@ -530,7 +550,41 @@ def test_equals_cartesian_distinct_points():
     )
 
 
+def test_equals_cartesian_rejects_dim_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: 3 != 4"):
+        equals_cartesian(identity(3), identity(4), 1.0)
+
+
+@pytest.mark.parametrize("b", [
+    SphericalForm(1.0, (0.5, 0.25, 0.0)),           # another dimension
+    SphericalForm(1.5, (0.5, 0.25)),                # another modulus
+    SphericalForm(1.0, (0.5, 0.2500001)),           # another argument
+], ids=["dim", "modulus", "argument"])
+def test_equals_argumentwise_false(b):
+    a = SphericalForm(1.0, (0.5, 0.25))
+    assert equals_argumentwise(a, a, 0.0)
+    assert not equals_argumentwise(a, b)
+    assert not equals_argumentwise(a, b, 1e-8)
+    assert equals_argumentwise(a, b, 1.0) == (a.dim == b.dim)
+
+
 # -- public surface ----------------------------------------------------------------------
+
+def test_value_types_have_no_method_aliases():
+    # every operation is a module function; the types carry their fields,
+    # dim, and CartesianVec's norm and signed sums
+    def public(cls):
+        return sorted(n for n in dir(cls) if not n.startswith("_"))
+
+    def methods(cls):
+        return sorted(n for n, v in vars(cls).items()
+                      if callable(v) and n not in ("__init__", "__annotate__"))
+
+    assert public(SphericalForm) == ["args", "dim", "modulus"]
+    assert public(CartesianVec) == ["components", "dim", "norm"]
+    assert methods(SphericalForm) == []
+    assert methods(CartesianVec) == ["__add__", "__neg__", "__sub__", "norm"]
+
 
 def test_package_public_names():
     import hypercomplex
@@ -540,14 +594,14 @@ def test_package_public_names():
         "add", "canonicalize", "divide", "equals_argumentwise", "equals_cartesian",
         "identity", "inverse", "is_canonical", "mul_cartesian", "mul_geometric",
         "partial_moduli", "pow_int", "promote", "to_cartesian", "to_spherical",
-        "ConjugateVariant", "RootSet", "conjugate", "distributivity_residual",
+        "RootSet", "conjugate", "distributivity_residual",
         "j_squared", "nth_roots", "replicate", "replicate_products", "scalar_embed",
-        "EventDelta", "SquareProjection", "doubled_latitude_quadrant", "interval_sq",
+        "EventDelta", "doubled_latitude_quadrant", "interval_sq",
         "lorentz_boost", "square_and_project",
         "FractalConfig", "MembershipGrid", "escape_time", "export_grid", "render_grid",
         "__version__",
     ]
-    assert len(names) == 40
+    assert len(names) == 38
     assert len(hypercomplex.__all__) == len(set(hypercomplex.__all__))
     assert set(hypercomplex.__all__) == set(names)
     assert all(hasattr(hypercomplex, name) for name in names)

@@ -92,10 +92,14 @@ def test_conjugate_involution_gives_canonical_original():
 def test_conjugate_variant_needs_dim3():
     h = random_form(random.Random(1), 4)
     for variant in ("second", "third"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{variant} conjugate is defined for dimension 3"):
             conjugate(h, variant)
-    with pytest.raises(ValueError):
-        conjugate(h, "fourth")
+    # an unknown name is rejected in any dimension, naming the variants
+    for g in (h, random_form(random.Random(2), 3)):
+        with pytest.raises(ValueError) as err:
+            conjugate(g, "bogus")
+        assert str(err.value) == (
+            "conjugate variant must be 'full', 'second' or 'third', got 'bogus'")
 
 
 # -- replicates --------------------------------------------------------------------
@@ -452,6 +456,9 @@ def test_scalar_embed_forms():
     assert scalar_embed(1.0, 4) == SphericalForm(1.0, (0.0, 0.0, 0.0))
     assert scalar_embed(2.5, 3) == SphericalForm(2.5, (0.0, 0.0))
     assert scalar_embed(-1.0, 3) == SphericalForm(1.0, (0.0, PI))
+    assert scalar_embed(2.0, 2) == SphericalForm(2.0, (0.0,))
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        scalar_embed(2.0, 1)
 
 
 def test_scalar_embed_scales_every_component():

@@ -66,6 +66,75 @@ def test_step_first_matches_cartesian_self_product():
         assert max_gap(got, want.components) < 1e-12
 
 
+@pytest.mark.parametrize("approach", ["first", "second"])
+@pytest.mark.parametrize("c", [(1e-158, 2e-159, 0.1), (1e-158, 5e-159, -0.1)])
+def test_subnormal_rho2_cell_is_a_member(approach, c):
+    # rho^2 of c is about 1e-316: z^2/rho^2 overflows, but |c| is about 0.1
+    assert escape_time(CartesianVec(c), FractalConfig(approach=approach)) == 100
+
+
+def _first_step_bits(x, y, z, c, rho2_form):
+    """One ``first`` step in Python floats, in the kernel's order of
+    operations: the F = 1 - z^2/rho^2 form or the quotient form."""
+    d, rho2, zz = x * x - y * y, x * x + y * y, z * z
+    xy2 = 2.0 * x * y
+    if rho2_form == "F":
+        f = 1.0 - zz / rho2
+        xn, yn = d * f + c[0], xy2 * f + c[1]
+    else:
+        xn, yn = (d - d / rho2 * zz) + c[0], (xy2 - xy2 / rho2 * zz) + c[1]
+    return xn, yn, 2.0 * z * math.sqrt(rho2) + c[2]
+
+
+_TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("x, y, rho2, rho2_form", [
+    # the smallest normal, y^2 underflowing to 0
+    (2.0 ** -511, 2.0 ** -540, _TINY, "F"),
+    # one ulp above it, and the largest subnormal: there the two forms round
+    # apart at z = -0.7 or 1.5
+    (4.467474863360443e-155, 1.423197295514444e-154, math.nextafter(_TINY, 1.0), "F"),
+    (1.3090619532675985e-154, 7.151438044298648e-155, math.nextafter(_TINY, 0.0), "Q"),
+    (math.nextafter(2.0 ** -511, 0.0), 2.0 ** -540, math.nextafter(_TINY, 0.0), "Q"),
+], ids=["smallest-normal", "above-smallest-normal", "largest-subnormal", "largest-subnormal-y0"])
+def test_step_first_takes_the_quotient_form_below_the_smallest_normal(x, y, rho2, rho2_form):
+    assert x * x + y * y == rho2
+    c = (0.3, -0.2, 0.1)
+    forms = set()
+    for z in (0.1, -0.7, 1.5):
+        [got] = kernel_step("first", [(x, y, z)], c)
+        assert got == _first_step_bits(x, y, z, c, rho2_form)
+        forms.add(_first_step_bits(x, y, z, c, "F") == _first_step_bits(x, y, z, c, "Q"))
+    # the middle two states tell the forms apart
+    assert (False in forms) == (y > 2.0 ** -540)
+
+
+@pytest.mark.parametrize("state", [(1e-158, 2e-159, 0.1), (-3e-160, 1e-158, -1.2)])
+def test_step_first_on_a_subnormal_rho2_is_the_self_product(state):
+    from hypercomplex import mul_cartesian
+
+    x, y, z = state
+    [got] = kernel_step("first", [state], (0.0, 0.0, 0.0))
+    assert got == _first_step_bits(x, y, z, (0.0, 0.0, 0.0), "Q")
+    # a subnormal square is off by up to half of 2**-1074, which the
+    # quotients scale by z^2/rho^2
+    h = CartesianVec(state)
+    tol = z * z * 2.0 ** -1073 / (x * x + y * y) + 1e-15
+    assert max_gap(got, mul_cartesian(h, h).components) < tol
+
+
+@pytest.mark.parametrize("cy", [1e-155, -3e-156])
+def test_z0_orbit_through_a_subnormal_rho2_is_classical(cy):
+    # h_2 = (0, -cy, 0): rho^2 = cy^2 is subnormal, then the orbit cycles
+    c = (-1.0, cy, 0.0)
+    [h2] = kernel_step("first", [c], c)
+    assert 0.0 < h2[0] ** 2 + h2[1] ** 2 < np.finfo(float).tiny
+    for n_max in (3, 100):
+        cfg = FractalConfig(n_max=n_max)
+        assert escape_time(CartesianVec(c), cfg) == classical_escape(c[0], c[1], n_max)
+
+
 def test_step_second_examples():
     c = (0.4, 0.1, -0.7)
     assert kernel_step("second", [ORIGIN.components], c) == [c]

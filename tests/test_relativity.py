@@ -19,6 +19,12 @@ def test_interval_reference_points():
     assert interval_sq(EventDelta(1, 0, 0, 1)) == 0.0
 
 
+def test_square_and_project_returns_a_plain_pair():
+    got = square_and_project(EventDelta(1, 0, 0, 2))
+    assert type(got) is tuple and len(got) == 2
+    assert all(type(v) is float for v in got)
+
+
 def test_square_and_project_reference_points():
     spatial, time_comp = square_and_project(EventDelta(1, 0, 0, 2))
     assert abs(spatial - 3.0) < 1e-12
