@@ -8,7 +8,9 @@ precision; ``--format csv`` adds one header row per command.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
 longitude, a result modulus or an exponent past the float range, a fractal
-box or slice that is not finite, unwritable file), 2 usage error.
+box or slice that is not finite, unwritable file), 2 usage error.  A value
+command's exit-1 message is ``error: `` and the library's own text, except
+the --dim count check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import extensions, relativity
 from .core import (
     CartesianVec,
     DegenerateArgs,
-    DegenerateLongitudeError,
     SphericalForm,
     add,
     divide,
@@ -106,20 +107,6 @@ def _fallback_for(args, position: int):
     if position < len(fbs):
         return DegenerateArgs(fbs[position])
     return None
-
-
-def _mul_cartesian(args, x, y):
-    """``mul_cartesian`` with --fallback i for operand i; a degenerate operand
-    without one is named by its position and the flag it needs."""
-    try:
-        return [mul_cartesian(x, y, _fallback_for(args, 0), _fallback_for(args, 1))]
-    except DegenerateLongitudeError as exc:
-        i = 1 if str(exc).startswith("left") else 2  # the library names the side
-        raise ValueError(
-            f"operand {i} has unrecoverable longitudes (leading components are zero); "
-            f"pass them as the {('first', 'second')[i - 1]} --fallback "
-            "(the i-th --fallback belongs to operand i)"
-        ) from exc
 
 
 # -- output ------------------------------------------------------------------
@@ -273,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     val_cmd("mul", "multiply two values", 2, lambda a, x, y: [mul_geometric(x, y)],
-            _mul_cartesian)
+            lambda a, x, y: [mul_cartesian(x, y, _fallback_for(a, 0), _fallback_for(a, 1))])
     val_cmd("add", "add two values", 2,
             lambda a, x, y: [to_spherical(add(to_cartesian(x), to_cartesian(y)),
                                           _fallback_for(a, 0))],

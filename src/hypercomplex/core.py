@@ -422,14 +422,11 @@ def mul_cartesian(
             if ra[-1] * rb[-1] == math.inf:
                 raise
 
-    for comps, chain, fb, side in (
-        (ca, ra, a_fallback, "left"),
-        (cb, rb, b_fallback, "right"),
-    ):
+    for comps, chain, fb, nth in ((ca, ra, a_fallback, "first"), (cb, rb, b_fallback, "second")):
         if _leading_zeros(comps) >= 2 and chain[-1] > 0.0 and fb is None:
             raise DegenerateLongitudeError(
-                f"{side} operand has unrecoverable longitudes "
-                "(leading components are zero); pass a DegenerateArgs fallback"
+                f"the {nth} operand has unrecoverable longitudes "
+                f"(leading components are zero); pass them as the {nth} fallback"
             )
     return to_cartesian(
         mul_geometric(to_spherical(a, a_fallback), to_spherical(b, b_fallback))

@@ -172,10 +172,11 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
-    # F = 1 - z^2/rho^2 overflows where rho^2 is subnormal, so those lanes
-    # (the z-axis ones among them) are redone below as D - (D/rho^2) z^2 and
-    # 2xy - (2xy/rho^2) z^2, whose quotients are at most 1, as in second
-    sub = (RHO2 < _TINY).nonzero()[0]
+    # F = 1 - z^2/rho^2 overflows where rho^2 is subnormal, or the smallest
+    # normal with z^2 = 4, so those lanes (the z-axis ones among them) are
+    # redone below as D - (D/rho^2) z^2 and 2xy - (2xy/rho^2) z^2, whose
+    # quotients are at most 1, as in second
+    sub = (RHO2 <= _TINY).nonzero()[0]
     F = np.divide(ZZ, RHO2, out=ZN)
     np.subtract(1.0, F, out=F)
     np.multiply(D, F, out=XN)

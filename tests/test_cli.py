@@ -12,6 +12,7 @@ import pytest
 from hypercomplex import (
     CartesianVec,
     DegenerateArgs,
+    DegenerateLongitudeError,
     SphericalForm,
     add,
     divide,
@@ -651,13 +652,15 @@ def test_value_commands_match_the_library_in_both_forms(capsys, argv, want, fmt)
     assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("operands, i, nth", [
-    (("0,0,1", "1,2,3"), 1, "first"),
-    (("1,2,3", "0,0,1"), 2, "second"),
+@pytest.mark.parametrize("operands, nth", [
+    (("0,0,1", "1,2,3"), "first"),
+    (("1,2,3", "0,0,1"), "second"),
 ])
-def test_mul_names_the_fallback_a_degenerate_operand_needs(capsys, operands, i, nth):
+def test_mul_names_the_fallback_a_degenerate_operand_needs(capsys, operands, nth):
+    # the library's own words: the i-th --fallback is the i-th fallback
     code, out, err = run(capsys, "mul", "--form", "cartesian", *operands)
     assert code == 1 and out == ""
-    assert err == (f"error: operand {i} has unrecoverable longitudes (leading components are "
-                   f"zero); pass them as the {nth} --fallback "
-                   "(the i-th --fallback belongs to operand i)\n")
+    with pytest.raises(DegenerateLongitudeError) as info:
+        mul_cartesian(*(CartesianVec(map(float, v.split(","))) for v in operands))
+    assert err == f"error: {info.value}\n"
+    assert f"the {nth} operand" in err and f"the {nth} fallback" in err

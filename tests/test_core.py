@@ -352,6 +352,19 @@ def test_mul_cartesian_degenerate_needs_fallback():
     assert max_gap(got.components, (-1.0, 0.0, 0.0)) < 1e-12
 
 
+@pytest.mark.parametrize("a, b, nth", [
+    ((0.0, 0.0, 1.0), (1.0, 2.0, 3.0), "first"),
+    ((1.0, 2.0, 3.0), (0.0, 0.0, 1.0), "second"),
+    ((0.0, -0.0, 0.0, 2.0), (0.0, 0.0, 5e-324, 1.0), "first"),
+    ((1.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -3.0), "second"),
+])
+def test_mul_cartesian_names_the_degenerate_operand_and_its_fallback(a, b, nth):
+    with pytest.raises(DegenerateLongitudeError) as info:
+        mul_cartesian(CartesianVec(a), CartesianVec(b))
+    assert str(info.value) == (f"the {nth} operand has unrecoverable longitudes (leading "
+                               f"components are zero); pass them as the {nth} fallback")
+
+
 def test_mul_cartesian_one_sided_degenerate():
     z = CartesianVec((0.0, 0.0, 2.0))
     v = CartesianVec((1.0, 1.0, 0.5))

@@ -514,5 +514,5 @@ def test_distributivity_zero_in_complex_plane():
 def test_distributivity_propagates_degenerate_errors():
     axis = CartesianVec((0.0, 0.0, 1.0))
     v = CartesianVec((1.0, 0.5, 0.2))
-    with pytest.raises(DegenerateLongitudeError):
+    with pytest.raises(DegenerateLongitudeError, match="^the first operand .* first fallback$"):
         distributivity_residual(axis, v, v)

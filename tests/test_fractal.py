@@ -90,8 +90,8 @@ _TINY = np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("x, y, rho2, rho2_form", [
-    # the smallest normal, y^2 underflowing to 0
-    (2.0 ** -511, 2.0 ** -540, _TINY, "F"),
+    # the smallest normal, y^2 underflowing to 0: the forms round alike here
+    (2.0 ** -511, 2.0 ** -540, _TINY, "Q"),
     # one ulp above it, and the largest subnormal: there the two forms round
     # apart at z = -0.7 or 1.5
     (4.467474863360443e-155, 1.423197295514444e-154, math.nextafter(_TINY, 1.0), "F"),
@@ -108,6 +108,13 @@ def test_step_first_takes_the_quotient_form_below_the_smallest_normal(x, y, rho2
         forms.add(_first_step_bits(x, y, z, c, "F") == _first_step_bits(x, y, z, c, "Q"))
     # the middle two states tell the forms apart
     assert (False in forms) == (y > 2.0 ** -540)
+
+
+def test_step_first_at_the_smallest_normal_rho2_and_z2_of_4_matches_second():
+    # 4 / 2**-1022 overflows, so the F form would give (-inf, nan, ...)
+    state, c = (2.0 ** -511, 0.0, 2.0), (2.0, 0.0, 0.0)
+    assert kernel_step("first", [state], c) == kernel_step("second", [state], c)
+    assert kernel_step("first", [state], c)[0][:2] == (-2.0, 0.0)
 
 
 @pytest.mark.parametrize("state", [(1e-158, 2e-159, 0.1), (-3e-160, 1e-158, -1.2)])
