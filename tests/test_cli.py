@@ -180,6 +180,13 @@ def test_an_exponent_past_the_float_range_exits_1(capsys, command, fmt):
     assert "Traceback" not in err
 
 
+def test_a_root_degree_past_the_candidate_bound_exits_1(capsys):
+    code, out, err = run(capsys, "roots", "-m", "1000000", "1,0.1,0.2")
+    assert (code, out) == (1, "")
+    assert err == ("error: degree 1000000 in 3D makes (N-1)*m^(N-1) = 2000000000000 root "
+                   "candidates, past the bound of 1048576\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mul", "1e200,0.1,0.2", "1e200,0.1,0.2"), "result modulus overflowed to inf"),
     (("div", "1e200,0.1,0.2", "1e-200,0.1,0.2"), "result modulus overflowed to inf"),
@@ -194,6 +201,34 @@ def test_overflowed_results_exit_1_and_name_the_overflow(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_leading_dot_negative_operands_are_values(capsys):
+    # "-.5" is a number, not an option, as an operand and as a --fallback
+    code, out, _ = run(capsys, "inv", "--form", "cartesian", "-.5,1,1")
+    assert code == 0
+    _library_text(to_cartesian(inverse(to_spherical(CartesianVec((-0.5, 1, 1))))))
+    assert capsys.readouterr().out == out
+    code, out, _ = run(capsys, "inv", "--form", "cartesian", "--fallback", "-.5", "0,0,4")
+    assert code == 0
+    _library_text(to_cartesian(inverse(to_spherical(CartesianVec((0, 0, 4)),
+                                                    DegenerateArgs((-0.5,))))))
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("token", ["-inf", "-INF", "-nan", "-NaN"])
+def test_negative_non_finite_operands_reach_the_library(capsys, token):
+    code, out, err = run(capsys, "inv", "--form", "cartesian", f"{token},1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: components must be finite\n"
+
+
+def test_dash_letter_tokens_stay_options(capsys):
+    code, out, _ = run(capsys, "pow", "-m", "2", "--form", "cartesian", "-.5,1,1")
+    assert code == 0
+    assert run(capsys, "pow", "-m", "2", "--form", "cartesian", "-0.5,1,1") == (0, out, "")
+    code, out, _ = run(capsys, "roots", "-h")
+    assert code == 0 and out.startswith("usage: hypercomplex roots")
 
 
 def test_mul_cartesian_with_subnormal_leading_components(capsys):

@@ -4,7 +4,8 @@ Each example runs one of the eight value commands through ``cli.main`` in
 process, in either ``--form``, any ``--format``, with none, one or two
 ``--fallback``s, on operands from the edges of the float range: +-0,
 subnormals, 1e+-300, the largest float, latitudes exactly at +-pi/2 and
-longitudes one ulp below 2*pi.
+longitudes one ulp below 2*pi.  Each example spells its numbers one way:
+``repr``, ``%.17g``, without the leading zero (``-.5``) or upper case.
 
 Oracle: the library calls themselves, along the paths ``_cmd_value``'s
 docstring describes.  Spherical operands go to the command's geometric op as
@@ -20,6 +21,7 @@ escapes ``cli.main`` as a traceback, and no argv here is a usage error.
 import contextlib
 import io
 import math
+import re
 
 import pytest
 
@@ -102,11 +104,22 @@ def _draw_case(draw, cmd, form):
     n_fallbacks = draw(st.integers(0, 2))
     fallbacks = [draw(st.lists(longitudes, min_size=1, max_size=3)) for _ in range(n_fallbacks)]
     flag, values = _OPTION.get(cmd, (None, st.none()))
-    return fmt, dim, operands, fallbacks, flag, draw(values), draw(st.booleans())
+    spelling = draw(st.sampled_from(tuple(_SPELLINGS)))
+    return fmt, dim, operands, fallbacks, flag, draw(values), draw(st.booleans()), spelling
 
 
-def _csv(values):
-    return ",".join(map(repr, values))
+# ways to write a float that parse back to it; "-.5" must not read as an
+# option
+_SPELLINGS = {
+    "repr": repr,
+    "%.17g": lambda v: "%.17g" % v,
+    "no leading zero": lambda v: re.sub(r"^(-?)0\.(?=\d)", r"\1.", repr(v)),
+    "upper case": lambda v: repr(v).upper(),
+}
+
+
+def _csv(values, spelling):
+    return ",".join(map(_SPELLINGS[spelling], values))
 
 
 def _library(cmd, form, fmt, operands, fallbacks, option):
@@ -140,15 +153,16 @@ def _library(cmd, form, fmt, operands, fallbacks, option):
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @hypothesis.given(data=st.data())
 def test_value_commands_print_the_library_results_or_its_error(cmd, form, data):
-    fmt, dim, operands, fallbacks, flag, option, with_dim = _draw_case(data.draw, cmd, form)
+    fmt, dim, operands, fallbacks, flag, option, with_dim, spelling = _draw_case(
+        data.draw, cmd, form)
     argv = [cmd, "--form", form, "--format", fmt]
     if with_dim:
         argv += ["--dim", str(dim)]
     for fb in fallbacks:
-        argv += ["--fallback", _csv(fb)]
+        argv += ["--fallback", _csv(fb, spelling)]
     if flag:
         argv += [flag, str(option)]
-    argv += [_csv(v) for v in operands]
+    argv += [_csv(v, spelling) for v in operands]
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

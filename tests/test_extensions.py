@@ -178,6 +178,27 @@ def test_root_degree_validation():
         nth_roots(SphericalForm(1.0, (0.0, 0.0)), 0)
 
 
+@pytest.mark.parametrize("dim, m", [(3, 10 ** 6), (6, 10 ** 9), (20, 10 ** 300)])
+def test_a_huge_root_degree_fails_before_enumerating(monkeypatch, dim, m):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(extensions, "replicate", never)
+    with pytest.raises(ValueError, match=r"\(N-1\)\*m\^\(N-1\) = .* root candidates, past "
+                                         r"the bound of 1048576"):
+        nth_roots(SphericalForm(2.0, (0.3,) * (dim - 1)), m)
+
+
+def test_the_root_bound_counts_every_candidate(monkeypatch):
+    # 2 * 5**2 = 50 candidates in 3D is the last degree the bound admits
+    monkeypatch.setattr(extensions, "_MAX_ROOT_CANDIDATES", 50)
+    h = SphericalForm(2.0, (0.3, 0.2))
+    assert len(nth_roots(h, 5).roots) == 25
+    with pytest.raises(ValueError, match=r"^degree 6 in 3D makes \(N-1\)\*m\^\(N-1\) = 72 root "
+                                         r"candidates, past the bound of 50$"):
+        nth_roots(h, 6)
+
+
 def test_roots_power_back_and_3d_count_bounds():
     rng = random.Random(21)
     for _ in range(60):

@@ -523,6 +523,138 @@ def test_render_memory_is_the_counts_plus_one_pool():
     assert peak <= bound <= 8 << 20
 
 
+# -- contraction certificate -------------------------------------------------------
+
+def _trap(approach, b, a, alive=True):
+    """Whether ``_trapped`` retires one lane at state b, stepped from a."""
+    X, Y, Z = (np.array([v], dtype=float) for v in b)
+    XN, YN, ZN = (np.array([v], dtype=float) for v in a)
+    D, RHO2, ZZ = np.empty((3, 1))
+    fractal._squares(X, Y, Z, D, RHO2, ZZ)
+    out = fractal._trapped(approach == "second", X, Y, Z, RHO2, ZZ, XN, YN, ZN,
+                           np.full(1, alive), np.empty(1, dtype=bool))
+    return bool(out[0])
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_trapped_takes_a_still_state_inside_the_cone_and_only_live_lanes(approach):
+    still = (0.2, 0.1, -0.1)
+    assert _trap(approach, still, still)
+    assert not _trap(approach, still, still, alive=False)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_trapped_refuses_balls_that_reach_the_cone(approach, sign):
+    # still states with rho = 0.2, so s = 2^-30 and the ball must keep
+    # sqrt(3) rho - |z| >= 2(s + eps) from the cone |phi| = pi/3
+    rho = 0.2
+    edge = math.sqrt(3.0) * rho
+    for z in (edge, math.nextafter(edge, 1.0), edge - 2.0 ** -30, edge - 2.0 ** -29, 0.5):
+        b = (rho, 0.0, sign * z)
+        assert not _trap(approach, b, b), z
+    b = (rho, 0.0, sign * (edge - 2.0 ** -28))
+    assert _trap(approach, b, b)
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_trapped_refuses_states_near_radius_one_half(approach):
+    # a still state is taken while 2(R + s) s + 2 eps <= s, so up to about
+    # R = 1/2 - 2^-10; a slow drift near |h| = 1/2 is the parabolic point
+    assert _trap(approach, (0.49, 0.0, 0.0), (0.49, 0.0, 0.0))
+    for k in range(11, 54):
+        b = (0.5 - 2.0 ** -k, 0.0, 0.0)
+        assert not _trap(approach, b, b), k
+        assert not _trap(approach, b, (b[0] - 2.0 ** -60, 0.0, 0.0)), k
+    assert not _trap(approach, (0.5, 0.0, 0.0), (0.5, 0.0, 0.0))
+    # a state that moved d needs a ball of s = 16 d about it: L = 2(R + s)
+    # may reach s / (s + d) = 16/17, while s = d would stop at L = 1/2
+    assert _trap(approach, (0.4, 0.0, 0.0), (0.4 + 1e-6, 0.0, 0.0))
+    assert not _trap(approach, (0.3, 0.0, 0.0), (0.3 + 0.02, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 2.0 ** -31, -(2.0 ** -31), 2.0 ** -30])
+def test_trapped_refuses_second_balls_that_cross_x_zero(x):
+    # s = 2^-30 for a still state: second's ball must keep |b_x| > s, since
+    # its sign rule flips z across x = 0; first has no such rule
+    b = (x, 0.3, 0.1)
+    assert not _trap("second", b, b)
+    assert _trap("first", b, b)
+    b = (math.copysign(2.0 ** -29, x), 0.3, 0.1)
+    assert _trap("second", b, b)
+
+
+_CERT_POOL = 16  # the certificate's gate opens at _POOL_LANES // 4 = 4 live lanes
+
+
+def _certified_counts(monkeypatch, cfg):
+    """Render ``cfg`` on a small pool, with a spy on the certificate; returns
+    the counts and how many lanes it retired."""
+    monkeypatch.setattr(fractal, "_POOL_LANES", _CERT_POOL)
+    real, fired = fractal._trapped, []
+
+    def spy(*args):
+        out = real(*args)
+        fired.append(np.count_nonzero(out))
+        return out
+
+    monkeypatch.setattr(fractal, "_trapped", spy)
+    counts = render_grid(cfg).counts
+    monkeypatch.undo()  # a second render in the test wraps the real one again
+    assert np.array_equal(counts, lockstep_counts(cfg))
+    return counts, sum(fired)
+
+
+def _certified_plane(monkeypatch, approach, xs, ys, res, n_max):
+    """The exactly complex plane of an approach over xs x ys (c_z = 0 for
+    first, c_y = 0 for second), rendered by _certified_counts and compared
+    with the classical map too."""
+    if approach == "first":
+        region, resolution = (xs, ys, (0.0, 0.0)), (*res, 1)
+    else:
+        region, resolution = (xs, (0.0, 0.0), ys), (res[0], 1, res[1])
+    cfg = FractalConfig(approach, n_max, region, resolution)
+    counts = _certified_counts(monkeypatch, cfg)[0].reshape(res)
+    xc, yc = (axis_centers(*r, n).tolist() for r, n in zip((xs, ys), res))
+    assert counts.tolist() == [[classical_escape(a, b, n_max) for b in yc] for a in xc]
+    return counts
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_certificate_keeps_slow_escapes_past_the_parabolic_point(monkeypatch, approach):
+    # just past c = 1/4 an orbit crawls by the fixed point 1/2 for hundreds
+    # of iterations and then escapes; cells off the real axis near the cusp
+    # are members and are certified
+    xs, small = (0.2500001, 0.26), (-1e-3, 1e-3)
+    cfg = FractalConfig(approach, 3000, (xs, small, small), (12, 4, 4))
+    counts, fired = _certified_counts(monkeypatch, cfg)
+    assert fired and (counts == 3000).any() and (counts < 3000).any()
+    plane = _certified_plane(monkeypatch, approach, (0.2500001, 0.2502), (-1e-6, 1e-6),
+                             (24, 5), 3000)
+    assert plane.min() < 250 and 1500 < plane[plane < 3000].max()
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_certificate_keeps_the_period_two_boundary(monkeypatch, approach):
+    # at c = -3/4 the fixed point -1/2 meets the period-2 cycle: orbits
+    # near it converge slowly, to a state of modulus near 1/2 or to a cycle
+    xs, ys = (-0.76, -0.74), (-0.02, 0.02)
+    cfg = FractalConfig(approach, 2000, (xs, ys, (-1e-3, 1e-3)), (12, 4, 4))
+    _certified_counts(monkeypatch, cfg)
+    plane = _certified_plane(monkeypatch, approach, xs, ys, (24, 9), 2000)
+    assert (plane == 2000).any()
+
+
+def test_certificate_in_second_keeps_an_x_zero_column(monkeypatch):
+    # 9 cells over a symmetric x range put a column on x = 0, where second
+    # reads the sign of y; its y-mirror is rendered, and the certificate
+    # retires members off that plane
+    cfg = FractalConfig("second", 100, ((-0.5, 0.5),) * 3, (9, 8, 8))
+    assert axis_centers(-0.5, 0.5, 9)[4] == 0.0
+    counts, fired = _certified_counts(monkeypatch, cfg)
+    assert fired and (counts[4] == 100).any()
+
+
 @pytest.mark.parametrize("workers, lengths", [
     (0, [6]),
     (1, [6]),
