@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 from hypercomplex import FractalConfig, export_grid, render_grid
+from hypercomplex.fractal import axis_centers
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -48,8 +49,9 @@ counts = np.asarray(grid.counts)
 profile = (counts == cfg.n_max).sum(axis=(0, 1))
 bar_max = int(profile.max())
 print("membership per z layer:")
+zs = axis_centers(-2.0, 2.0, 48)
 for iz in range(0, 48, 4):
-    z = -2.0 + 4.0 * (iz + 0.5) / 48
+    z = zs[iz]
     bar = "#" * int(40 * profile[iz] / bar_max) if bar_max else ""
     print(f"  z={z:+5.2f} {profile[iz]:5d} {bar}")
 

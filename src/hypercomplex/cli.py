@@ -116,13 +116,9 @@ def fmt_significant(v: float) -> str:
     return "%.9g" % v
 
 
-def emit_value(value, fmt: str) -> None:
-    """Print one result value in the requested format (used verbatim by the
-    round-trip fidelity contract: CLI bytes == library result + this)."""
-    _emit((value,), fmt)
-
-
 def _emit(values, fmt: str) -> None:
+    """Print result values in the requested format: a command's stdout is
+    its library results through this."""
     for k, value in enumerate(values):
         spherical = isinstance(value, SphericalForm)
         seq = (value.modulus, *value.args) if spherical else value.components

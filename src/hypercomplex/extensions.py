@@ -23,9 +23,7 @@ from .core import (
     _canonical_args,
     _cartesian,
     _form,
-    _vec,
     _wrap_pm_pi,
-    add,
     is_canonical,
     mul_cartesian,
 )
@@ -309,9 +307,4 @@ def distributivity_residual(a: CartesianVec, b: CartesianVec, c: CartesianVec) -
     nonzero ``b + c``, has no longitudes to multiply with and raises
     :class:`DegenerateLongitudeError`.
     """
-    lhs = mul_cartesian(a, add(b, c))
-    ab = mul_cartesian(a, b)
-    ac = mul_cartesian(a, c)
-    return _vec(tuple(
-        l - (p + q) for l, p, q in zip(lhs.components, ab.components, ac.components)
-    ))
+    return mul_cartesian(a, b + c) - (mul_cartesian(a, b) + mul_cartesian(a, c))

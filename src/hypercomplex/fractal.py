@@ -359,29 +359,28 @@ def _render_block(cfg: FractalConfig, xs, ys, zs) -> np.ndarray:
     with np.errstate(all="ignore"):
         xx, yy, zz = xs * xs, ys * ys, zs * zs
         R1 = (xx[:, None] + yy).ravel()
-        # radius-2 escape test on squared moduli, in blocks of about one pool,
-        # so no float array the size of the lattice is made; a NaN state
-        # never passes it and so stays a member
+        # the cells inside radius 2, in blocks of about one pool, so no float
+        # array the size of the lattice is made; the sums are of non-negative
+        # squares of finite centres, inf at worst, so never NaN
         todo = np.empty((R1.size, zs.size), dtype=bool)
         rows, cols = max(1, _POOL_LANES // zs.size), min(zs.size, _POOL_LANES)
         for i in range(0, R1.size, rows):
             for j in range(0, zs.size, cols):
-                np.greater(R1[i:i + rows, None] + zz[j:j + cols], 4.0,
-                           out=todo[i:i + rows, j:j + cols])
-        counts = np.where(todo, np.int32(1), np.int32(cfg.n_max)).reshape(shape)
-        todo = np.logical_not(todo, out=todo).reshape(shape)
+                np.less_equal(R1[i:i + rows, None] + zz[j:j + cols], 4.0,
+                              out=todo[i:i + rows, j:j + cols])
+        todo = todo.reshape(shape)
+        counts = np.where(todo, np.int32(cfg.n_max), np.int32(1))
         todo[:, upper_y] = False
         todo[:, :, upper_z] = False
         # flat views: the sweeps write through them into counts and read todo
         args = (cfg, todo.ravel(), counts.ravel(), np.repeat(xs, ys.size),
                 np.tile(ys, xs.size), zs)
         if _sweep(*args) and upper_y.size:
-            # the left-out planes still hold count n_max exactly where c is
-            # inside radius 2 (n_max > 2 here: below that nothing is stepped)
+            # an upper y-plane's centres square as its lower plane's do, so
+            # its cells inside radius 2 are the lower plane's
+            inside = todo[:, lower_y]
             todo[:] = False
-            for j in upper_y:
-                np.not_equal(counts[:, j], 1, out=todo[:, j])
-            todo[:, :, upper_z] = False
+            todo[:, upper_y] = inside
             _sweep(*args)
         else:
             counts[:, upper_y] = counts[:, lower_y]
@@ -462,18 +461,18 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
         _squares(X, Y, Z, D, RHO2, ZZ)
         # the certificate reads the old state last: then its buffer is free
         # until the next step
+        # under a quarter pool its calls cost more than the lane steps they save
         if n % _TRAP_EVERY == 0 and n_alive >= _POOL_LANES // 4:
             done = _trapped(second, X, Y, Z, RHO2, ZZ, XN, YN, ZN, alive, hit)
             alive ^= done
             n_alive -= np.count_nonzero(done)
         new = np.greater(np.add(RHO2, ZZ, out=XN), 4.0, out=hit)
         new &= alive
-        n_new = np.count_nonzero(new)
-        if n_new:
-            at = new.nonzero()[0]
+        at = new.nonzero()[0]
+        if at.size:
             counts[idx[at]] = n + 1 - start[at]
             alive[at] = False
-            n_alive -= n_new
+            n_alive -= at.size
         if cohorts[0] + n_max - 2 == n:
             done = np.equal(start, cohorts.popleft(), out=hit)
             done &= alive

@@ -41,8 +41,14 @@ class EventDelta(_Value):
 
 
 def interval_sq(d: EventDelta) -> float:
-    """``ds^2 = (c*dt)^2 - dx^2 - dy^2 - dz^2`` (negative for spacelike)."""
-    return d.cdt * d.cdt - d.dx * d.dx - d.dy * d.dy - d.dz * d.dz
+    """``ds^2 = (c*dt)^2 - dx^2 - dy^2 - dz^2`` (negative for spacelike).
+
+    Components past 2^510 are divided by 2^512, exactly, and the result is
+    multiplied back, so it is +-inf only where ds^2 is past the float range."""
+    x, y, z, t = d.dx, d.dy, d.dz, d.cdt
+    k = 2.0 ** 512 if max(abs(x), abs(y), abs(z), abs(t)) > 2.0 ** 510 else 1.0
+    x, y, z, t = x / k, y / k, z / k, t / k
+    return (t * t - x * x - y * y - z * z) * k * k
 
 
 def _as_form(d: EventDelta):

@@ -259,7 +259,7 @@ def test_criterion_08_membership_containment():
     )
 
 
-def test_criterion_09_deterministic_parallel_render(tmp_path):
+def test_criterion_09_deterministic_slab_render(tmp_path):
     cfg = FractalConfig(n_max=60, region=((-2.0, 2.0),) * 3, resolution=(48, 48, 48))
     out_a, out_b = tmp_path / "a.raw", tmp_path / "b.raw"
     export_grid(render_grid(cfg, workers=1), "voxel_raw", out_a)

@@ -25,7 +25,7 @@ from hypercomplex import (
     to_spherical,
 )
 from hypercomplex import cli
-from hypercomplex.cli import emit_value, main
+from hypercomplex.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -52,7 +52,7 @@ def test_cli_matches_library_formatting(capsys):
     code, out, _ = run(capsys, "mul", "--form", "spherical", "2,0.31,0.22", "1.5,0.11,-0.4")
     assert code == 0
     want = mul_geometric(SphericalForm(2, (0.31, 0.22)), SphericalForm(1.5, (0.11, -0.4)))
-    emit_value(want, "text")
+    _emit([want], "text")
     assert capsys.readouterr().out == out
 
 
@@ -619,13 +619,12 @@ def test_cartesian_emit_matches_direct_conversion(capsys):
     # byte-identity of the CLI with library call + documented formatter
     code, out, _ = run(capsys, "convert", "--form", "spherical", "--to", "cartesian", "2,0.7,0.1")
     assert code == 0
-    emit_value(to_cartesian(SphericalForm(2, (0.7, 0.1))), "text")
+    _emit([to_cartesian(SphericalForm(2, (0.7, 0.1)))], "text")
     assert capsys.readouterr().out == out
 
 
 def _library_text(*values):
-    for v in values:
-        emit_value(v, "text")
+    _emit(values, "text")
 
 
 def test_cartesian_operands_take_their_own_fallbacks(capsys):
@@ -683,7 +682,7 @@ def _via_spherical(fn, *vecs):
 def test_value_commands_match_the_library_in_both_forms(capsys, argv, want, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
-    emit_value(want(), fmt)
+    _emit([want()], fmt)
     assert capsys.readouterr().out == out
 
 

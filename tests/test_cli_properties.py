@@ -12,10 +12,10 @@ docstring describes.  Spherical operands go to the command's geometric op as
 given and cartesian ones to its cartesian op (``mul``, ``add``,
 ``convert``); any other command converts cartesian operand i with fallback i,
 runs the geometric op and converts its results back.  On success stdout is
-those results printed by ``_emit`` (``emit_value`` for one result), with
-exit 0 and nothing on stderr.  On a library error stdout is empty, stderr is
-``error: `` plus the exception's text, and the exit code is 1.  Nothing
-escapes ``cli.main`` as a traceback, and no argv here is a usage error.
+those results printed by ``_emit``, with exit 0 and nothing on stderr.  On a
+library error stdout is empty, stderr is ``error: `` plus the exception's
+text, and the exit code is 1.  Nothing escapes ``cli.main`` as a traceback,
+and no argv here is a usage error.
 """
 
 import contextlib
@@ -140,10 +140,7 @@ def _library(cmd, form, fmt, operands, fallbacks, option):
         return 1, "", f"error: {exc}\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        if len(results) == 1:
-            cli.emit_value(results[0], fmt)
-        else:
-            cli._emit(results, fmt)
+        cli._emit(results, fmt)
     return 0, out.getvalue(), ""
 
 

@@ -516,6 +516,18 @@ def test_pow_int():
         pow_int(SphericalForm(0.0, (0.0, 0.0)), -2)
 
 
+def test_default_products_depend_on_bracketing():
+    # canonicalizing folds h^2's latitude 2 by the replicate move, and the
+    # replicate multiplies differently; the raw tuples form the group
+    h = SphericalForm(1, (0, 1))
+    cube = to_cartesian(pow_int(h, 3)).components
+    assert max_gap(cube, (-0.98999, 0.0, 0.14112)) < 1e-5
+    squared_then_h = to_cartesian(mul_geometric(pow_int(h, 2), h)).components
+    assert max_gap(squared_then_h, (0.54030, 0.0, 0.84147)) < 1e-5
+    raw = mul_geometric(h, mul_geometric(h, h, canonical=False), canonical=False)
+    assert max_gap(to_cartesian(raw).components, cube) < 1e-12
+
+
 @pytest.mark.parametrize("r, m", [(1e200, 2), (1e-200, -3)])
 def test_pow_int_overflow_is_a_value_error(r, m):
     # r**m past the float range is a domain error, like an infinite product

@@ -378,7 +378,7 @@ def test_render_is_deterministic_across_worker_counts():
     for resolution, workers in (
         ((33, 17, 29), 4),
         ((33, 17, 29), 0),
-        ((5, 4, 3), 8),  # more workers than z-planes: one slab per plane
+        ((5, 4, 3), 8),  # more workers than x-planes: one slab per x-plane
     ):
         cfg = FractalConfig(n_max=50, resolution=resolution)
         a = render_grid(cfg, workers=1)

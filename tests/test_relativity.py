@@ -19,6 +19,31 @@ def test_interval_reference_points():
     assert interval_sq(EventDelta(1, 0, 0, 1)) == 0.0
 
 
+@pytest.mark.parametrize("d, want", [
+    # (c*dt)^2 and dx^2 each overflow, but their difference does not
+    (EventDelta(1e155, 0, 0, 1e155), 0.0),
+    (EventDelta(1e200, 0, 0, 1e200), 0.0),
+    (EventDelta(1.9e154, 0, 0, 2e154), 3.9e307),
+    # ds^2 itself past the float range
+    (EventDelta(1e300, 0, 0, 0), -math.inf),
+    (EventDelta(0, 1e200, 0, 1e300), math.inf),
+])
+def test_interval_of_huge_components(d, want):
+    # the squares round as in the plain expression, to within 2^-52 of the
+    # largest, so a difference 10x smaller keeps about 14 digits
+    assert interval_sq(d) == pytest.approx(want, rel=1e-14)
+
+
+def test_interval_keeps_the_plain_expression_below_the_scaling():
+    rng = random.Random(28)
+    for _ in range(1000):
+        d = EventDelta(*(rng.uniform(-1, 1) * 10.0 ** rng.uniform(-300, 150)
+                         for _ in range(4)))
+        plain = d.cdt * d.cdt - d.dx * d.dx - d.dy * d.dy - d.dz * d.dz
+        got = interval_sq(d)
+        assert got == plain and math.copysign(1, got) == math.copysign(1, plain)
+
+
 def test_square_and_project_returns_a_plain_pair():
     got = square_and_project(EventDelta(1, 0, 0, 2))
     assert type(got) is tuple and len(got) == 2
