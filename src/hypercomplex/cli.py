@@ -7,10 +7,10 @@ prints 9 significant digits; ``--format json-lines`` carries full binary
 precision; ``--format csv`` adds one header row per command.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
-longitude, a result modulus or an exponent past the float range, a fractal
-box or slice that is not finite, unwritable file), 2 usage error.  A value
-command's exit-1 message is ``error: `` and the library's own text, except
-the --dim count check.
+longitude, a result modulus, component or exponent past the float range, a
+fractal box or slice that is not finite, unwritable file), 2 usage error.  A
+value command's exit-1 message is ``error: `` and the library's own text,
+except the --dim count check.
 """
 
 from __future__ import annotations
@@ -94,14 +94,6 @@ def _resolution(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"resolution must be rx,ry,rz, got {text!r}")
 
 
-def _parse_value(values: tuple[float, ...], form: str, dim):
-    if dim is not None and len(values) != dim:
-        raise ValueError(f"--dim {dim} expects {dim} numbers, got {len(values)}")
-    if form == "spherical":
-        return SphericalForm(values[0], values[1:])
-    return CartesianVec(values)
-
-
 def _fallback_for(args, position: int):
     fbs = args.fallback or []
     if position < len(fbs):
@@ -111,11 +103,6 @@ def _fallback_for(args, position: int):
 
 # -- output ------------------------------------------------------------------
 
-def fmt_significant(v: float) -> str:
-    """The documented text precision: 9 significant digits."""
-    return "%.9g" % v
-
-
 def _emit(values, fmt: str) -> None:
     """Print result values in the requested format: a command's stdout is
     its library results through this."""
@@ -123,7 +110,7 @@ def _emit(values, fmt: str) -> None:
         spherical = isinstance(value, SphericalForm)
         seq = (value.modulus, *value.args) if spherical else value.components
         if fmt == "text":
-            print(",".join(fmt_significant(v) for v in seq))
+            print(",".join("%.9g" % v for v in seq))
         elif fmt == "json-lines":
             if spherical:
                 obj = {"form": "spherical", "modulus": value.modulus, "args": list(value.args)}
@@ -149,7 +136,10 @@ def _cmd_value(args) -> int:
     op = args.op if args.form == "spherical" else args.cartesian_op
     operands = []
     for i, values in enumerate(args.values):
-        h = _parse_value(values, args.form, args.dim)
+        if args.dim is not None and len(values) != args.dim:
+            raise ValueError(f"--dim {args.dim} expects {args.dim} numbers, got {len(values)}")
+        h = (SphericalForm(values[0], values[1:]) if args.form == "spherical"
+             else CartesianVec(values))
         operands.append(h if op else to_spherical(h, _fallback_for(args, i)))
     results = op(args, *operands) if op else map(to_cartesian, args.op(args, *operands))
     _emit(results, args.format)
@@ -204,7 +194,7 @@ def _cmd_relativity_check(args) -> int:
             row = (d.dx, d.dy, d.dz, d.cdt, beta, spatial, target, residual)
             print(",".join("%.17g" % v for v in row))
         else:
-            dtxt = ",".join(fmt_significant(v) for v in (d.dx, d.dy, d.dz, d.cdt))
+            dtxt = ",".join("%.9g" % v for v in (d.dx, d.dy, d.dz, d.cdt))
             print(f"{dtxt:>36} {beta:>7.4f} {spatial:>14.9g} {target:>14.9g} {residual:>10.3e}")
     return 0
 
@@ -324,7 +314,3 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

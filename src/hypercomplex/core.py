@@ -329,9 +329,8 @@ def _canonical_args(args: Sequence[float]) -> tuple[float, ...]:
 
 
 def is_canonical(h: SphericalForm) -> bool:
-    if not 0.0 <= h.args[0] < TAU:
-        return False
-    return all(-HALF_PI <= a <= HALF_PI for a in h.args[1:])
+    """True iff :func:`canonicalize` leaves the arguments of ``h`` as they are."""
+    return _canonical_args(h.args) == h.args
 
 
 def add(a: CartesianVec, b: CartesianVec) -> CartesianVec:
@@ -452,7 +451,7 @@ def pow_int(h: SphericalForm, m: int) -> SphericalForm:
     ``m = 0`` gives the identity; negative ``m`` needs a nonzero modulus.
     A power past the float range raises ``ValueError``.
     """
-    m = int(m)
+    m = operator.index(m)
     if m == 0:
         return identity(h.dim)
     if m < 0 and h.modulus == 0.0:

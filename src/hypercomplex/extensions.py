@@ -24,6 +24,7 @@ from .core import (
     _cartesian,
     _form,
     _wrap_pm_pi,
+    identity,
     is_canonical,
     mul_cartesian,
 )
@@ -135,7 +136,7 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     ``(N-1) * m**(N-1)`` candidates pass ``2**20`` raises ``ValueError``
     before any is built.
     """
-    m = int(m)
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"root degree must be >= 1, got {m}")
     if h.modulus == 0.0:
@@ -156,8 +157,7 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
         roots = tuple(
             _form(r_root, raw) for per_arg in generic for raw in itertools.product(*per_arg)
         )
-        note = len(forms) * m ** (h.dim - 1) if m % 2 else len(roots)
-        return RootSet(roots, note)
+        return RootSet(roots, count if m % 2 else len(roots))
 
     target = _cartesian(1.0, h.args)
     roots: list[SphericalForm] = []
@@ -288,14 +288,11 @@ def scalar_embed(s: float, dim: int) -> SphericalForm:
     is Cartesian-equivalent but multiplies differently (it would only negate
     the first two components).
     """
-    if dim < 2:
-        raise ValueError("dimension must be >= 2")
+    args = identity(dim).args
     s = float(s)
     if s >= 0.0:
-        return SphericalForm(s, (0.0,) * (dim - 1))
-    args = [0.0] * (dim - 1)
-    args[-1] = math.pi
-    return SphericalForm(-s, tuple(args))
+        return SphericalForm(s, args)
+    return SphericalForm(-s, args[:-1] + (math.pi,))
 
 
 def distributivity_residual(a: CartesianVec, b: CartesianVec, c: CartesianVec) -> CartesianVec:

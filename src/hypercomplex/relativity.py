@@ -40,21 +40,27 @@ class EventDelta(_Value):
             object.__setattr__(self, name, v)
 
 
-def interval_sq(d: EventDelta) -> float:
-    """``ds^2 = (c*dt)^2 - dx^2 - dy^2 - dz^2`` (negative for spacelike).
+def _scaled(d: EventDelta) -> tuple[float, tuple[float, float, float, float]]:
+    """``(k, components of d / k)``: k is 2^512 when a component is past
+    2^510, else 1.  The division is exact, and a square of the scaled
+    components multiplied by k twice is past the float range only where the
+    square of ``d``'s is."""
+    comps = (d.dx, d.dy, d.dz, d.cdt)
+    k = 2.0 ** 512 if max(map(abs, comps)) > 2.0 ** 510 else 1.0
+    return k, tuple(v / k for v in comps)
 
-    Components past 2^510 are divided by 2^512, exactly, and the result is
-    multiplied back, so it is +-inf only where ds^2 is past the float range."""
-    x, y, z, t = d.dx, d.dy, d.dz, d.cdt
-    k = 2.0 ** 512 if max(abs(x), abs(y), abs(z), abs(t)) > 2.0 ** 510 else 1.0
-    x, y, z, t = x / k, y / k, z / k, t / k
+
+def interval_sq(d: EventDelta) -> float:
+    """``ds^2 = (c*dt)^2 - dx^2 - dy^2 - dz^2`` (negative for spacelike),
+    +-inf only where ds^2 is past the float range."""
+    k, (x, y, z, t) = _scaled(d)
     return (t * t - x * x - y * y - z * z) * k * k
 
 
-def _as_form(d: EventDelta):
+def _as_form(components: tuple[float, ...]):
     # a purely temporal displacement has degenerate spatial longitudes;
     # default (zero) longitudes are fine, the square's moduli do not see them
-    return to_spherical(CartesianVec((d.dx, d.dy, d.dz, d.cdt)))
+    return to_spherical(CartesianVec(components))
 
 
 def square_and_project(d: EventDelta) -> tuple[float, float]:
@@ -64,10 +70,17 @@ def square_and_project(d: EventDelta) -> tuple[float, float]:
     The spatial modulus is the Euclidean norm of the square's first three
     Cartesian components (by ``hypot``, so it neither overflows nor
     underflows) and equals ``|ds^2|``; the time component is the fourth
-    component and equals ``2 * cdt * sqrt(dx^2 + dy^2 + dz^2)``.
+    component and equals ``2 * cdt * sqrt(dx^2 + dy^2 + dz^2)``.  Either
+    one past the float range raises ``ValueError``.
     """
-    x, y, z, w = to_cartesian(pow_int(_as_form(d), 2)).components
-    return math.hypot(x, y, z), w
+    k, comps = _scaled(d)
+    x, y, z, w = to_cartesian(pow_int(_as_form(comps), 2)).components
+    spatial, time = math.hypot(x, y, z) * k * k, w * k * k
+    if spatial == math.inf:
+        raise ValueError("result modulus overflowed to inf")
+    if not math.isfinite(time):
+        raise ValueError("result components overflowed")
+    return spatial, time
 
 
 def doubled_latitude_quadrant(d: EventDelta) -> int:
@@ -77,7 +90,7 @@ def doubled_latitude_quadrant(d: EventDelta) -> int:
     i.e. where ``ds^2 > 0``.  Exposed for inspection only; nothing in this
     module interprets it.
     """
-    psi2 = (2.0 * _as_form(d).args[-1]) % TAU
+    psi2 = (2.0 * _as_form((d.dx, d.dy, d.dz, d.cdt)).args[-1]) % TAU
     return int(psi2 // HALF_PI) % 4
 
 

@@ -444,11 +444,43 @@ def test_relativity_check_boosts_only_the_given_deltas(capsys, fmt, argv, messag
 @pytest.mark.parametrize("argv, message", [
     (("--delta", "1,0,0,2", "--beta", "0.5", "--beta", "1"), "|beta| must be < 1, got 1.0"),
     (("--delta", "1e200,0,0,2", "--beta", "0.5"), "result modulus overflowed to inf"),
-], ids=["beta", "overflow"])
+    (("--delta", "1e154,0,0,1e154"), "result components overflowed"),
+], ids=["beta", "overflow", "time-overflow"])
 def test_relativity_check_failing_row_leaves_stdout_empty(capsys, fmt, argv, message):
     # a later row's error must not follow a header and earlier rows
     code, out, err = run(capsys, "relativity-check", "--format", fmt, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_relativity_check_of_a_huge_delta_with_finite_results(capsys):
+    code, out, err = run(capsys, "relativity-check", "--format", "json-lines",
+                         "--delta", "1e153,0,0,1.34e154")
+    row = json.loads(out)
+    assert (code, err) == (0, "")
+    assert row["spatial_modulus"] == pytest.approx(1.7856e308, rel=1e-12)
+    assert row["abs_ds2"] == pytest.approx(1.7856e308, rel=1e-12)
+
+
+def test_module_entry_point():
+    # `python -m hypercomplex` in a fresh interpreter: stdout, stderr and the
+    # exit code are main's
+    import hypercomplex
+
+    src = os.path.dirname(os.path.dirname(hypercomplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*argv):
+        proc = subprocess.run([sys.executable, "-m", "hypercomplex", *argv], env=env,
+                              capture_output=True, encoding="utf-8", timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert module("mul", "--dim", "3", "2,1.0472,0.5236", "3,0.5236,0.5236") == (
+        0, "6,1.5708,1.0472\n", "")
+    assert module("div", "1,0,0", "0,0,0") == (
+        1, "", "error: division by a zero-modulus value\n")
+    code, out, err = module("mul", "--no-such-option", "1,0,0", "1,0,0")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --no-such-option" in err
 
 
 def test_algebra_commands_do_not_import_numpy():

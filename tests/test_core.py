@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import TAU, angle_gap, assert_value_contract, max_gap, random_form, random_vec
@@ -260,6 +261,23 @@ def test_canonicalize_longitude_just_below_zero_is_zero(lon):
     got = canonicalize(SphericalForm(1.0, (lon, 0.2)))
     assert got.args == (0.0, 0.2) and math.copysign(1.0, got.args[0]) == 1.0
     assert is_canonical(got)
+
+
+@pytest.mark.parametrize("args, want", [
+    ((0.0, 0.2), True),
+    ((-0.0, 0.2), True),
+    ((math.nextafter(TAU, 0.0), 0.2), True),
+    ((1.0, PI / 2), True),
+    ((1.0, -PI / 2), True),
+    ((TAU, 0.2), False),
+    ((-5e-324, 0.2), False),
+    ((7.0, 0.2), False),
+    ((1.0, math.nextafter(PI / 2, math.inf)), False),
+    ((1.0, -PI), False),
+], ids=["lon-0", "lon-neg-0", "lon-below-tau", "lat-half-pi", "lat-neg-half-pi", "lon-tau",
+        "lon-neg-subnormal", "lon-7", "lat-past-half-pi", "lat-neg-pi"])
+def test_is_canonical_at_the_range_boundaries(args, want):
+    assert is_canonical(SphericalForm(1.0, args)) is want
 
 
 def test_canonical_already_unchanged():
@@ -526,6 +544,19 @@ def test_default_products_depend_on_bracketing():
     assert max_gap(squared_then_h, (0.54030, 0.0, 0.84147)) < 1e-5
     raw = mul_geometric(h, mul_geometric(h, h, canonical=False), canonical=False)
     assert max_gap(to_cartesian(raw).components, cube) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "3"])
+def test_pow_int_exponent_must_be_an_integer(m):
+    # a degree is an integer, not a value that int() truncates or parses
+    with pytest.raises(TypeError):
+        pow_int(SphericalForm(2.0, (0.4, 0.2)), m)
+
+
+def test_pow_int_takes_numpy_integers_and_bools():
+    h = SphericalForm(2.0, (0.4, 0.2))
+    assert pow_int(h, np.int64(3)) == pow_int(h, 3)
+    assert pow_int(h, True) == pow_int(h, 1)
 
 
 @pytest.mark.parametrize("r, m", [(1e200, 2), (1e-200, -3)])

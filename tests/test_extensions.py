@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -176,6 +177,18 @@ def test_roots_of_zero():
 def test_root_degree_validation():
     with pytest.raises(ValueError):
         nth_roots(SphericalForm(1.0, (0.0, 0.0)), 0)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "3"])
+def test_root_degree_must_be_an_integer(m):
+    # a degree is an integer, not a value that int() truncates or parses
+    with pytest.raises(TypeError):
+        nth_roots(SphericalForm(2.0, (0.3, 0.2)), m)
+
+
+def test_root_degree_takes_numpy_integers():
+    h = SphericalForm(2.0, (0.3, 0.2))
+    assert nth_roots(h, np.int64(3)) == nth_roots(h, 3)
 
 
 @pytest.mark.parametrize("dim, m", [(3, 10 ** 6), (6, 10 ** 9), (20, 10 ** 300)])

@@ -5,11 +5,15 @@ import pytest
 
 from conftest import assert_value_contract
 from hypercomplex import (
+    CartesianVec,
     EventDelta,
     doubled_latitude_quadrant,
     interval_sq,
     lorentz_boost,
+    pow_int,
     square_and_project,
+    to_cartesian,
+    to_spherical,
 )
 
 
@@ -72,6 +76,33 @@ def test_square_and_project_extreme_scale(scale):
     assert 0.0 < spatial < math.inf
     assert abs(spatial - target) <= 1e-12 * target
     assert time_comp == 0.0
+
+
+def test_square_and_project_scales_a_huge_delta():
+    # the unscaled square's modulus, 1.8e308, is past the float range, but
+    # |ds^2| = 1.7856e308 and the time component 2.68e307 are not
+    spatial, time_comp = square_and_project(EventDelta(1e153, 0, 0, 1.34e154))
+    assert spatial == pytest.approx(1.7856e308, rel=1e-12)
+    assert time_comp == pytest.approx(2.68e307, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, message", [
+    (EventDelta(1e200, 0, 0, 2), "result modulus overflowed to inf"),
+    (EventDelta(1e154, 0, 0, 1e154), "result components overflowed"),  # time 2e308
+])
+def test_square_and_project_result_past_the_float_range(d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        square_and_project(d)
+
+
+def test_square_and_project_keeps_the_plain_square_below_the_scaling():
+    rng = random.Random(29)
+    for _ in range(1000):
+        d = EventDelta(*(rng.uniform(-1, 1) * 2.0 ** rng.uniform(-500, 510)
+                         for _ in range(4)))
+        x, y, z, w = to_cartesian(pow_int(to_spherical(CartesianVec(
+            (d.dx, d.dy, d.dz, d.cdt))), 2)).components
+        assert square_and_project(d) == (math.hypot(x, y, z), w)
 
 
 def test_boost_reference_points():
