@@ -10,9 +10,9 @@ Two iteration schemes for ``h_{n+1} = h_n**2 + c`` on 3D values:
   with ``c_y = 0`` stay in the y = 0 plane, where the map is the classical
   complex one under the substitution y -> z.
 
-Each approach has a single array step kernel.  The lattice render and the
-one-cell ``escape_time`` both run it, so per-cell results are bitwise
-independent of grid shape and tiling.
+Each approach has a single array kernel, which squares; the render adds c.
+The lattice render and the one-cell ``escape_time`` both run it, so
+per-cell results are bitwise independent of grid shape and tiling.
 
 The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
@@ -160,28 +160,27 @@ def _squares(X, Y, Z, D, RHO2, ZZ):
     np.multiply(Z, Z, out=ZZ)
 
 
-# Each kernel takes a state, its _squares and c, writes the next state into
-# XN, YN and ZN, and returns the number of lanes whose square read the sign
-# of y (second's rule on x = +-0; first never reads it), the one step that
-# breaks the y-mirror.  The squares are scratch: a kernel may overwrite RHO2,
-# and ZN holds a factor until the new z is computed.  Callers silence numpy's
-# floating-point warnings: 0/0 on degenerate cells is patched over, and an
-# orbit past the float range is inf or NaN, which the escape test and
-# CartesianVec each handle.
+# Each kernel takes a state and its _squares, writes the square of the
+# state into XN, YN and ZN, and returns the number of lanes whose square read
+# the sign of y (second's rule on x = +-0; first never reads it), the one step
+# that breaks the y-mirror.  The sweep then adds c.  The squares are scratch:
+# a kernel may overwrite RHO2, and ZN holds a factor until the new z is
+# computed.  Callers silence numpy's floating-point warnings: 0/0 on
+# degenerate cells is patched over, and an orbit past the float range is inf
+# or NaN, which the escape test and CartesianVec each handle.
 
-def _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN) -> None:
-    # pure z-axis states (rho = 0, the lanes in deg) need a longitude to
-    # square: it is fixed at 0 so the iteration stays deterministic
+def _z_axis_rule(deg, ZZ, XN, YN, ZN) -> None:
+    # pure z-axis states (rho = 0, the lanes in deg) square with longitude 0
+    # to (-z^2, -0, -0): -0.0 is the zero that adds to any c bit for bit
     if deg.size:
-        XN[deg] = CX[deg] - ZZ[deg]
-        YN[deg] = CY[deg]
-        ZN[deg] = CZ[deg]
+        XN[deg] = -ZZ[deg]
+        YN[deg] = ZN[deg] = -0.0
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
+def _step_first(X, Y, Z, D, RHO2, ZZ, XN, YN, ZN) -> int:
     # F = 1 - z^2/rho^2 overflows where rho^2 is subnormal, or the smallest
     # normal with z^2 = 4, so those lanes (the z-axis ones among them) are
     # redone below as D - (D/rho^2) z^2 and 2xy - (2xy/rho^2) z^2, whose
@@ -190,24 +189,21 @@ def _step_first(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     F = np.divide(ZZ, RHO2, out=ZN)
     np.subtract(1.0, F, out=F)
     np.multiply(D, F, out=XN)
-    XN += CX
     np.multiply(2.0, X, out=YN)
     YN *= Y
     YN *= F
-    YN += CY
     np.multiply(2.0, Z, out=ZN)
     ZN *= np.sqrt(RHO2, out=RHO2)
-    ZN += CZ
     if sub.size:
         x, y, d, zz = X[sub], Y[sub], D[sub], ZZ[sub]
         r2, xy2 = x * x + y * y, 2.0 * x * y  # rho^2 as _squares made it
-        XN[sub] = (d - d / r2 * zz) + CX[sub]
-        YN[sub] = (xy2 - xy2 / r2 * zz) + CY[sub]
-        _z_axis_rule(sub[r2 == 0.0], ZZ, CX, CY, CZ, XN, YN, ZN)
+        XN[sub] = d - d / r2 * zz
+        YN[sub] = xy2 - xy2 / r2 * zz
+        _z_axis_rule(sub[r2 == 0.0], ZZ, XN, YN, ZN)
     return 0
 
 
-def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
+def _step_second(X, Y, Z, D, RHO2, ZZ, XN, YN, ZN) -> int:
     # Doubled-angle square of the alternative resolution, evaluated through
     # exact half-angle algebra instead of trig calls:
     #   cos 2T = (x^2 - y^2)/rho^2      sin 2T = 2xy/rho^2
@@ -217,17 +213,15 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     # 1/r^2 of the doubled angles.  Pure z-axis states take the first
     # approach's zero-longitude rule (T = 0, P = +-pi/2), which keeps the
     # y = 0 plane exactly complex; at the origin, where the latitude is
-    # undetermined, that rule gives c - 0 = c.
+    # undetermined, that rule squares it to -0, and the sweep adds c.
     deg = (RHO2 == 0.0).nonzero()[0]
     T = np.subtract(RHO2, ZZ, out=ZN)
     np.divide(D, RHO2, out=XN)
     XN *= T
-    XN += CX
     np.multiply(2.0, X, out=YN)
     YN *= Y
     YN /= RHO2
     YN *= T
-    YN += CY
     # s takes the sign of x, or of y where x = +-0 (a zero y there is a
     # degenerate cell, patched below)
     np.sqrt(RHO2, out=ZN)
@@ -237,8 +231,7 @@ def _step_second(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN) -> int:
     if on_yz.size:
         ZN[on_yz] = np.copysign(ZN[on_yz], Y[on_yz])
     ZN *= Z
-    ZN += CZ
-    _z_axis_rule(deg, ZZ, CX, CY, CZ, XN, YN, ZN)
+    _z_axis_rule(deg, ZZ, XN, YN, ZN)
     return on_yz.size
 
 
@@ -394,9 +387,9 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
     # cursor hands the marked cells to the pool in lattice order, each at h_1
     # with its _squares; idx maps a lane back to its cell, and start is the
     # iteration at which the lane held h_1, so a lane that escapes at
-    # iteration n has count n - start + 1.  Each iteration steps the lanes,
-    # squares them once, for the escape test and then the next step, and
-    # tests them.  An escaped lane only leaves `alive`: it is stepped on, to
+    # iteration n has count n - start + 1.  Each iteration squares the
+    # lanes' states by the kernel and adds c, takes _squares once, for the
+    # escape test and then the next step, and tests them.  An escaped lane only leaves `alive`: it is stepped on, to
     # inf and NaN, and its count is never written again (new & alive), until
     # 1/8 of the carried lanes are dead.  Then the live lanes past the first
     # n_alive move into the dead slots before them, and the cursor refills
@@ -411,14 +404,12 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
     second = cfg.approach == "second"
     # at n_max <= 2 the first test already gave every count
     size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 2 else 0
-    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = (np.empty(size) for _ in range(12))
-    idx = np.empty(size, dtype=np.intp)
+    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = np.empty((12, size))
     # int64: the iteration number runs past n_max once a pool of members
     # has retired and the next one started, so near the int32 bound of
     # n_max it would overflow int32
-    start = np.empty(size, dtype=np.int64)
-    alive = np.zeros(size, dtype=bool)
-    hit = np.empty(size, dtype=bool)
+    idx, start = np.empty((2, size), dtype=np.int64)
+    alive, hit = np.zeros((2, size), dtype=bool)
     cohorts = deque()
     cursor = n_alive = read_y = 0
     for n in itertools.count(2):
@@ -453,7 +444,10 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
                 return read_y
             alive[:] = True
             n_alive = m
-        read_y += step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+        read_y += step(X, Y, Z, D, RHO2, ZZ, XN, YN, ZN)
+        XN += CX
+        YN += CY
+        ZN += CZ
         X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
         _squares(X, Y, Z, D, RHO2, ZZ)
         # the certificate reads the old state last: then its buffer is free
@@ -480,7 +474,7 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
 def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     """Escape time at every cell center of the configured lattice.
 
-    ``workers`` is an x-slab count: the lattice is split into
+    ``workers`` is an x-slab count, an integer: the lattice is split into
     ``min(workers, nx)`` x-slabs, at least one, rendered in turn on the
     calling thread.  Each cell is independent, so the counts are bitwise
     identical for any slab count.
@@ -496,8 +490,8 @@ def render_grid(cfg: FractalConfig, workers: int = 1) -> MembershipGrid:
     skipped y-planes too.  The counts are the same bits as a full render.
     """
     xs, ys, zs = _cell_axes(cfg)
-    blocks = [_render_block(cfg, part, ys, zs)
-              for part in np.array_split(xs, min(max(workers, 1), xs.size))]
+    slabs = min(max(operator.index(workers), 1), xs.size)
+    blocks = [_render_block(cfg, part, ys, zs) for part in np.array_split(xs, slabs)]
     counts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     counts.flags.writeable = False
     return MembershipGrid(config=cfg, counts=counts)

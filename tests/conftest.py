@@ -43,8 +43,8 @@ def lockstep_counts(cfg) -> np.ndarray:
     """Escape counts with every cell of the lattice stepped together, from
     h_1 = c, until all have escaped or n_max is reached: the render without
     its lane pool, its axis tables or its compaction.  It runs the module's
-    own ``_squares`` and step kernel, so the render must match it bit for
-    bit."""
+    own ``_squares`` and step kernel, which squares, and adds c after it as
+    the render does, so the render must match it bit for bit."""
     from hypercomplex import fractal
 
     axes = [fractal.axis_centers(lo, hi, n) for (lo, hi), n in zip(cfg.region, cfg.resolution)]
@@ -57,7 +57,10 @@ def lockstep_counts(cfg) -> np.ndarray:
     with np.errstate(all="ignore"):
         for n in range(1, cfg.n_max + 1):
             if n > 1:
-                step(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+                step(X, Y, Z, D, RHO2, ZZ, XN, YN, ZN)
+                XN += CX
+                YN += CY
+                ZN += CZ
                 X, Y, Z, XN, YN, ZN = XN, YN, ZN, X, Y, Z
             fractal._squares(X, Y, Z, D, RHO2, ZZ)
             new = (RHO2 + ZZ > 4.0) & alive
@@ -70,10 +73,10 @@ def lockstep_counts(cfg) -> np.ndarray:
 
 def kernel_step(approach: str, states, cs) -> list[tuple[float, float, float]]:
     """One step ``h -> h**2 + c`` of an approach's array kernel on many
-    points in one call: the module's own ``_squares`` and step, as the render
-    runs them.  ``states`` is a sequence of (x, y, z); ``cs`` is one per
-    state or a single point for all.  Returns the next states as tuples of
-    Python floats."""
+    points in one call: the module's own ``_squares`` and step, which
+    squares, then c added after it, as the render runs them.  ``states`` is
+    a sequence of (x, y, z); ``cs`` is one per state or a single point for
+    all.  Returns the next states as tuples of Python floats."""
     from hypercomplex import fractal
 
     X, Y, Z = np.array(states, dtype=float).reshape(-1, 3).T.copy()
@@ -81,7 +84,10 @@ def kernel_step(approach: str, states, cs) -> list[tuple[float, float, float]]:
     D, RHO2, ZZ, XN, YN, ZN = np.empty((6, X.size))
     with np.errstate(all="ignore"):
         fractal._squares(X, Y, Z, D, RHO2, ZZ)
-        fractal._STEPS[approach](X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, XN, YN, ZN)
+        fractal._STEPS[approach](X, Y, Z, D, RHO2, ZZ, XN, YN, ZN)
+        XN += CX
+        YN += CY
+        ZN += CZ
     return [tuple(p) for p in np.stack((XN, YN, ZN), axis=1).tolist()]
 
 

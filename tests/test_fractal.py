@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -51,6 +52,15 @@ def test_step_first_axis_state_uses_zero_longitude():
     got = kernel_step("first", [(0.0, 0.0, z) for z in zs], ORIGIN.components)
     assert got[0] == (-1.0, 0.0, 0.0)
     assert got == [(-z * z, 0.0, 0.0) for z in zs]
+
+
+@pytest.mark.parametrize("approach", ["first", "second"])
+def test_z_axis_square_keeps_the_signed_zeros_of_c(approach):
+    # (0, 0, 1/2)^2 + c = (-1/4 + c_x, c_y, c_z) with every sign bit of c
+    for c in itertools.product((0.0, -0.0), repeat=3):
+        [got] = kernel_step(approach, [(0.0, 0.0, 0.5)], c)
+        want = (-0.25 + c[0], c[1], c[2])
+        assert [v.hex() for v in got] == [v.hex() for v in want], c
 
 
 def test_step_first_matches_cartesian_self_product():
@@ -446,19 +456,24 @@ _lockstep = functools.lru_cache(maxsize=None)(lockstep_counts)
 
 
 def _spy_on_step(monkeypatch, approach):
-    """Swap a spy in for the approach's step kernel; it collects the c_y and
-    the c_z of every lane the render steps, and how many lanes each call
-    steps."""
-    real = fractal._STEPS[approach]
+    """Swap spies in for ``_sweep`` and the approach's step kernel; they
+    collect the c_y and the c_z of every cell a sweep is handed, and how many
+    lanes each step call steps."""
+    real_sweep, real_step = fractal._sweep, fractal._STEPS[approach]
     seen_y, seen_z, lanes = set(), set(), []
 
-    def spy(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out):
-        seen_y.update(CY.tolist())
-        seen_z.update(CZ.tolist())
-        lanes.append(X.size)
-        return real(X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, *out)
+    def sweep(cfg, todo, counts, CX1, CY1, zs):
+        cells = todo.nonzero()[0]
+        seen_y.update(CY1[cells // zs.size].tolist())
+        seen_z.update(zs[cells % zs.size].tolist())
+        return real_sweep(cfg, todo, counts, CX1, CY1, zs)
 
-    monkeypatch.setitem(fractal._STEPS, approach, spy)
+    def step(X, *rest):
+        lanes.append(X.size)
+        return real_step(X, *rest)
+
+    monkeypatch.setattr(fractal, "_sweep", sweep)
+    monkeypatch.setitem(fractal._STEPS, approach, step)
     return seen_y, seen_z, lanes
 
 
@@ -484,7 +499,7 @@ def test_mirrored_render_matches_lockstep(monkeypatch, lo, hi, n, exact, approac
         monkeypatch.setattr(fractal, "_POOL_LANES", pool)
     seen_y, seen_z, _ = _spy_on_step(monkeypatch, approach)
     assert np.array_equal(render_grid(cfg, workers=workers).counts, want)
-    # no lane is ever stepped with a c on a skipped plane
+    # no sweep is ever handed a cell on a skipped plane
     assert seen_z and not seen_z & skipped
     assert seen_y and not seen_y & skipped
 
@@ -661,6 +676,8 @@ def test_certificate_in_second_keeps_an_x_zero_column(monkeypatch):
     (3, [2, 2, 2]),
     (4, [2, 2, 1, 1]),
     (8, [1] * 6),        # more slabs than x-columns: one slab per column
+    (np.int64(2), [3, 3]),
+    (True, [6]),
 ])
 def test_workers_is_an_x_slab_count(monkeypatch, workers, lengths):
     real = fractal._render_block
@@ -682,6 +699,13 @@ def test_workers_is_an_x_slab_count(monkeypatch, workers, lengths):
     assert np.array_equal(grid.counts, lockstep_counts(cfg))
     if len(blocks) == 1:
         assert grid.counts is blocks[0]  # one slab is returned without a copy
+
+
+@pytest.mark.parametrize("workers", [2.7, 2.0, "3"])
+def test_workers_must_be_an_integer(workers):
+    # as for FractalConfig's integers: a float is not silently truncated
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        render_grid(FractalConfig(n_max=20, resolution=(6, 2, 3)), workers=workers)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 17])

@@ -86,6 +86,17 @@ def test_square_and_project_scales_a_huge_delta():
     assert time_comp == pytest.approx(2.68e307, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, exact_time", [
+    (EventDelta(1e10, 0, 0, 1e-320), 2.0e-310),  # the latitude underflows
+    (EventDelta(2.0 ** 511, 0, 0, 2.0 ** -600), 3.23e-27),  # the scaling flushes cdt
+])
+def test_square_and_project_loses_a_time_component_below_the_latitude_range(d, exact_time):
+    # a representation limit: the time component 2 cdt r3 is a nonzero
+    # float, but the latitude that carries it is 0.0
+    assert math.isclose(2.0 * d.cdt * d.dx, exact_time, rel_tol=1e-3)
+    assert square_and_project(d) == (d.dx * d.dx, 0.0)
+
+
 @pytest.mark.parametrize("d, message", [
     (EventDelta(1e200, 0, 0, 2), "result modulus overflowed to inf"),
     (EventDelta(1e154, 0, 0, 1e154), "result components overflowed"),  # time 2e308
