@@ -4,7 +4,9 @@ Values are entered as comma-separated numbers: ``r,theta2,...,thetaN`` in
 radians for ``--form spherical`` (the default) or ``x1,...,xN`` for
 ``--form cartesian``; results come back in the same form.  Text output
 prints 9 significant digits; ``--format json-lines`` carries full binary
-precision; ``--format csv`` adds one header row per command.
+precision; ``--format csv`` adds one header row per command.  Every command
+builds its whole output before the first line, so an ``error: `` exit leaves
+stdout empty.
 
 Exit codes: 0 success, 1 domain error (division by zero, missing degenerate
 longitude, a result modulus, component or exponent past the float range, a
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -103,27 +104,29 @@ def _fallback_for(args, position: int):
 
 # -- output ------------------------------------------------------------------
 
-def _emit(values, fmt: str) -> None:
-    """Print result values in the requested format: a command's stdout is
-    its library results through this."""
-    for k, value in enumerate(values):
-        spherical = isinstance(value, SphericalForm)
-        seq = (value.modulus, *value.args) if spherical else value.components
-        if fmt == "text":
-            print(",".join("%.9g" % v for v in seq))
-        elif fmt == "json-lines":
-            if spherical:
-                obj = {"form": "spherical", "modulus": value.modulus, "args": list(value.args)}
-            else:
-                obj = {"form": "cartesian", "components": list(value.components)}
-            print(json.dumps(obj))
-        else:
-            if k == 0:  # one header per command, even for several roots
-                if spherical:
-                    print("r," + ",".join(f"theta{j}" for j in range(2, value.dim + 1)))
-                else:
-                    print(",".join(f"x{j}" for j in range(1, value.dim + 1)))
-            print(",".join("%.17g" % v for v in seq))
+def _write(fmt: str, header, rows, as_json, as_text, title=None) -> None:
+    """Print a command's rows in the requested format; no other code reads
+    --format.  A row is the tuple of its csv cells, and ``as_json`` and
+    ``as_text`` turn it into its json-lines object and its text line.  Only
+    the printed form is built, all of it before the first line, so a failing
+    row leaves stdout empty."""
+    if fmt == "csv":
+        import csv  # quotes only a cell holding a comma or a quote
+
+        cells = [["%.17g" % c if isinstance(c, float) else c for c in row] for row in rows]
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *cells])
+        return
+    if fmt == "json-lines":
+        import json
+
+        lines = [json.dumps(as_json(row)) for row in rows]
+    else:
+        lines = ([title] if title else []) + [as_text(row) for row in rows]
+    sys.stdout.writelines(line + "\n" for line in lines)
+
+
+def _joined(values) -> str:
+    return ",".join("%.9g" % v for v in values)
 
 
 # -- value subcommands --------------------------------------------------------
@@ -141,8 +144,17 @@ def _cmd_value(args) -> int:
         h = (SphericalForm(values[0], values[1:]) if args.form == "spherical"
              else CartesianVec(values))
         operands.append(h if op else to_spherical(h, _fallback_for(args, i)))
-    results = op(args, *operands) if op else map(to_cartesian, args.op(args, *operands))
-    _emit(results, args.format)
+    results = op(args, *operands) if op else list(map(to_cartesian, args.op(args, *operands)))
+    dim = results[0].dim  # one csv header per command, even for several roots
+    if isinstance(results[0], SphericalForm):
+        _write(args.format, ["r", *(f"theta{j}" for j in range(2, dim + 1))],
+               [(h.modulus, *h.args) for h in results],
+               lambda row: {"form": "spherical", "modulus": row[0], "args": list(row[1:])},
+               _joined)
+    else:
+        _write(args.format, [f"x{j}" for j in range(1, dim + 1)],
+               [h.components for h in results],
+               lambda row: {"form": "cartesian", "components": list(row)}, _joined)
     return 0
 
 
@@ -151,51 +163,28 @@ def _cmd_value(args) -> int:
 def _cmd_property_check(args) -> int:
     from . import checks  # only this command runs the probes
 
-    fmt = args.format
     given = {k: v for k, v in vars(args).items() if k in ("seed", "trials")}
     results = checks.run_property_checks(**given)
-    if fmt == "csv":
-        import csv  # details hold commas and quotes
-
-        rows = csv.writer(sys.stdout, lineterminator="\n")
-        rows.writerow(("name", "result", "detail"))
-    for res in results:
-        if fmt == "json-lines":
-            print(json.dumps({"name": res.name, "passed": res.passed, "detail": res.detail}))
-        elif fmt == "csv":
-            rows.writerow((res.name, "pass" if res.passed else "fail", res.detail))
-        else:
-            print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+    _write(args.format, ("name", "result", "detail"),
+           [(res.name, "pass" if res.passed else "fail", res.detail) for res in results],
+           lambda row: {"name": row[0], "passed": row[1] == "pass", "detail": row[2]},
+           lambda row: f"{row[1].upper()} {row[0]}: {row[2]}")
     return 0 if all(res.passed for res in results) else 1
 
 
 def _cmd_relativity_check(args) -> int:
-    fmt = args.format
     pairs = [(relativity.EventDelta(*d), b) for d in args.delta for b in args.beta or [0.0]]
-
-    # every row before the first line, so a failing row leaves stdout empty
     rows = []
     for d, beta in pairs:
         spatial, _ = relativity.square_and_project(relativity.lorentz_boost(d, beta))
         target = abs(relativity.interval_sq(d))
-        rows.append((d, beta, spatial, target, abs(spatial - target)))
-
-    if fmt == "csv":
-        print("dx,dy,dz,cdt,beta,spatial_modulus,abs_ds2,residual")
-    elif fmt == "text":
-        print(f"{'delta':>36} {'beta':>7} {'spatial_mod':>14} {'|ds^2|':>14} {'residual':>10}")
-    for d, beta, spatial, target, residual in rows:
-        if fmt == "json-lines":
-            print(json.dumps({
-                "delta": [d.dx, d.dy, d.dz, d.cdt], "beta": beta,
-                "spatial_modulus": spatial, "abs_ds2": target, "residual": residual,
-            }))
-        elif fmt == "csv":
-            row = (d.dx, d.dy, d.dz, d.cdt, beta, spatial, target, residual)
-            print(",".join("%.17g" % v for v in row))
-        else:
-            dtxt = ",".join("%.9g" % v for v in (d.dx, d.dy, d.dz, d.cdt))
-            print(f"{dtxt:>36} {beta:>7.4f} {spatial:>14.9g} {target:>14.9g} {residual:>10.3e}")
+        rows.append((d.dx, d.dy, d.dz, d.cdt, beta, spatial, target, abs(spatial - target)))
+    _write(args.format, "dx,dy,dz,cdt,beta,spatial_modulus,abs_ds2,residual".split(","), rows,
+           lambda row: {"delta": list(row[:4]), "beta": row[4], "spatial_modulus": row[5],
+                        "abs_ds2": row[6], "residual": row[7]},
+           lambda row: f"{_joined(row[:4]):>36} {row[4]:>7.4f} {row[5]:>14.9g} "
+                       f"{row[6]:>14.9g} {row[7]:>10.3e}",
+           f"{'delta':>36} {'beta':>7} {'spatial_mod':>14} {'|ds^2|':>14} {'residual':>10}")
     return 0
 
 

@@ -300,7 +300,7 @@ def _wrap_pm_pi(t: float) -> float:
 
 
 def canonicalize(h: SphericalForm) -> SphericalForm:
-    """Reduce the arguments into canonical ranges without moving the point.
+    """Reduce the arguments into canonical ranges.
 
     Canonical means ``theta_2 in [0, 2*pi)`` and ``theta_k in [-pi/2, pi/2]``
     for ``k >= 3``.  Latitudes are reduced from the highest index down: an
@@ -308,6 +308,11 @@ def canonicalize(h: SphericalForm) -> SphericalForm:
     range) while ``theta_{k-1}`` absorbs a pi shift -- the replicate move,
     which leaves every Cartesian component unchanged.  Finally the longitude
     is reduced mod 2*pi.  Idempotent.
+
+    The point stays put only up to the float ``TAU``: each whole turn the
+    reduction removes is ``TAU``, 2.45e-16 below 2*pi, so the point of a unit
+    form moves by up to 2.5e-16 per turn removed (3.5e-11 at a longitude of
+    1e6, 2.9e-5 at 1e12).  Arguments already in range lose no turn.
     """
     return _form(h.modulus, h.args)
 

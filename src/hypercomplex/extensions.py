@@ -120,8 +120,11 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     candidate is a root if its m-th power lands back on ``h``'s point; roots
     are deduplicated by Cartesian position in first-seen order, and
     ``multiplicity_note`` counts them before deduplication.  Both tests run
-    on the unit sphere (the arguments alone), so the result does not depend
-    on the scale of ``h``.
+    on the unit sphere (the arguments alone), so the arguments of the roots
+    do not depend on the scale of ``h``.  Their modulus ``r**(1/m)`` does,
+    through the rounding of ``1/m``: it is off by up to about |ln r| * 2**-53
+    relatively (``(1e300) ** (1/3)`` is ``9.999999999999872e+99``), so the
+    roots of ``s**m * h`` are ``s`` times those of ``h`` only to that bound.
 
     Generic canonical inputs (see :func:`_generic_families`) are built
     directly from the replicate structure.  For odd ``m`` every candidate is

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import pickle
 import random
@@ -97,6 +98,34 @@ def escape_byte(n: int, n_max: int) -> int:
     if n >= n_max:
         return 0
     return 1 + (254 * (n - 1)) // (n_max - 1)
+
+
+def cli_printed(values, fmt: str) -> str:
+    """Independent stdout of a value command whose library results are
+    ``values``, as README's CLI section states it: text is ``%.9g`` numbers
+    joined by commas; json-lines is one ``json.dumps`` object per value,
+    ``{"form", "modulus", "args"}`` or ``{"form", "components"}``; csv is one
+    ``r,theta2,...`` or ``x1,...`` header, then ``%.17g`` rows."""
+    lines = []
+    for value in values:
+        spherical = isinstance(value, SphericalForm)
+        seq = (value.modulus, *value.args) if spherical else value.components
+        if fmt == "text":
+            lines.append(",".join("%.9g" % v for v in seq))
+        elif fmt == "json-lines":
+            obj = ({"form": "spherical", "modulus": value.modulus, "args": list(value.args)}
+                   if spherical else
+                   {"form": "cartesian", "components": list(value.components)})
+            lines.append(json.dumps(obj))
+        else:
+            if not lines:  # one header, even above several roots
+                if spherical:
+                    names = ["r"] + [f"theta{j}" for j in range(2, len(seq) + 1)]
+                else:
+                    names = [f"x{j}" for j in range(1, len(seq) + 1)]
+                lines.append(",".join(names))
+            lines.append(",".join("%.17g" % v for v in seq))
+    return "".join(line + "\n" for line in lines)
 
 
 def max_gap(seq_a, seq_b) -> float:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import cli_printed
 from hypercomplex import (
     CartesianVec,
     DegenerateArgs,
@@ -25,7 +26,7 @@ from hypercomplex import (
     to_spherical,
 )
 from hypercomplex import cli
-from hypercomplex.cli import _emit, main
+from hypercomplex.cli import main
 
 
 def run(capsys, *argv):
@@ -52,8 +53,7 @@ def test_cli_matches_library_formatting(capsys):
     code, out, _ = run(capsys, "mul", "--form", "spherical", "2,0.31,0.22", "1.5,0.11,-0.4")
     assert code == 0
     want = mul_geometric(SphericalForm(2, (0.31, 0.22)), SphericalForm(1.5, (0.11, -0.4)))
-    _emit([want], "text")
-    assert capsys.readouterr().out == out
+    assert out == cli_printed([want], "text")
 
 
 def test_add_cartesian(capsys):
@@ -207,13 +207,12 @@ def test_leading_dot_negative_operands_are_values(capsys):
     # "-.5" is a number, not an option, as an operand and as a --fallback
     code, out, _ = run(capsys, "inv", "--form", "cartesian", "-.5,1,1")
     assert code == 0
-    _library_text(to_cartesian(inverse(to_spherical(CartesianVec((-0.5, 1, 1))))))
-    assert capsys.readouterr().out == out
+    want = to_cartesian(inverse(to_spherical(CartesianVec((-0.5, 1, 1)))))
+    assert out == cli_printed([want], "text")
     code, out, _ = run(capsys, "inv", "--form", "cartesian", "--fallback", "-.5", "0,0,4")
     assert code == 0
-    _library_text(to_cartesian(inverse(to_spherical(CartesianVec((0, 0, 4)),
-                                                    DegenerateArgs((-0.5,))))))
-    assert capsys.readouterr().out == out
+    want = to_cartesian(inverse(to_spherical(CartesianVec((0, 0, 4)), DegenerateArgs((-0.5,)))))
+    assert out == cli_printed([want], "text")
 
 
 @pytest.mark.parametrize("token", ["-inf", "-INF", "-nan", "-NaN"])
@@ -422,6 +421,29 @@ def test_relativity_check_table(capsys):
     row = lines[1].split(",")
     assert float(row[5]) == pytest.approx(3.0, abs=1e-9)   # spatial modulus
     assert float(row[7]) <= 1e-9                           # residual
+
+
+def test_relativity_check_text_and_csv_bytes(capsys):
+    from hypercomplex import relativity
+
+    deltas = [(1.0, 0.0, 0.0, 2.0), (0.3, -1.7, 2.9, 0.1)]
+    betas = [0.6, -0.123456789]
+    argv = ["relativity-check", *(f"--delta={','.join(map(repr, d))}" for d in deltas),
+            *(f"--beta={b!r}" for b in betas)]
+    text = [f"{'delta':>36} {'beta':>7} {'spatial_mod':>14} {'|ds^2|':>14} {'residual':>10}"]
+    rows = ["dx,dy,dz,cdt,beta,spatial_modulus,abs_ds2,residual"]
+    for d in deltas:
+        for beta in betas:
+            delta = relativity.EventDelta(*d)
+            spatial, _ = relativity.square_and_project(relativity.lorentz_boost(delta, beta))
+            target = abs(relativity.interval_sq(delta))
+            residual = abs(spatial - target)
+            dtxt = ",".join("%.9g" % v for v in d)
+            text.append(f"{dtxt:>36} {beta:>7.4f} {spatial:>14.9g} {target:>14.9g} "
+                        f"{residual:>10.3e}")
+            rows.append(",".join("%.17g" % v for v in (*d, beta, spatial, target, residual)))
+    for fmt, lines in (("text", text), ("csv", rows)):
+        assert run(capsys, *argv, "--format", fmt) == (0, "".join(f"{x}\n" for x in lines), "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
@@ -651,12 +673,7 @@ def test_cartesian_emit_matches_direct_conversion(capsys):
     # byte-identity of the CLI with library call + documented formatter
     code, out, _ = run(capsys, "convert", "--form", "spherical", "--to", "cartesian", "2,0.7,0.1")
     assert code == 0
-    _emit([to_cartesian(SphericalForm(2, (0.7, 0.1)))], "text")
-    assert capsys.readouterr().out == out
-
-
-def _library_text(*values):
-    _emit(values, "text")
+    assert out == cli_printed([to_cartesian(SphericalForm(2, (0.7, 0.1)))], "text")
 
 
 def test_cartesian_operands_take_their_own_fallbacks(capsys):
@@ -666,8 +683,7 @@ def test_cartesian_operands_take_their_own_fallbacks(capsys):
     assert code == 0
     a = to_spherical(CartesianVec((1, 1, 1)), DegenerateArgs((0.3,)))
     b = to_spherical(CartesianVec((0, 0, 2)), DegenerateArgs((0.5,)))
-    _library_text(to_cartesian(divide(a, b)))
-    assert capsys.readouterr().out == out
+    assert out == cli_printed([to_cartesian(divide(a, b))], "text")
     argv[4], argv[6] = argv[6], argv[4]
     code, swapped, _ = run(capsys, *argv)
     assert code == 0 and swapped != out
@@ -677,13 +693,11 @@ def test_unary_commands_read_the_fallback_of_a_degenerate_operand(capsys):
     h = to_spherical(CartesianVec((0, 0, 4)), DegenerateArgs((0.7,)))
     code, out, _ = run(capsys, "roots", "-m", "2", "--form", "cartesian", "--fallback", "0.7", "0,0,4")
     assert code == 0
-    _library_text(*(to_cartesian(root) for root in nth_roots(h, 2).roots))
-    assert capsys.readouterr().out == out
+    assert out == cli_printed([to_cartesian(root) for root in nth_roots(h, 2).roots], "text")
     assert run(capsys, "roots", "-m", "2", "--form", "cartesian", "0,0,4")[1] != out
     code, out, _ = run(capsys, "inv", "--form", "cartesian", "--fallback", "0.7", "0,0,4")
     assert code == 0
-    _library_text(to_cartesian(inverse(h)))
-    assert capsys.readouterr().out == out
+    assert out == cli_printed([to_cartesian(inverse(h))], "text")
 
 
 _CART = (CartesianVec((1, 2, 3)), CartesianVec((-0.5, 0.25, 2)))
@@ -714,8 +728,7 @@ def _via_spherical(fn, *vecs):
 def test_value_commands_match_the_library_in_both_forms(capsys, argv, want, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
-    _emit([want()], fmt)
-    assert capsys.readouterr().out == out
+    assert out == cli_printed([want()], fmt)
 
 
 @pytest.mark.parametrize("operands, nth", [

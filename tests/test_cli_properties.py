@@ -12,10 +12,11 @@ docstring describes.  Spherical operands go to the command's geometric op as
 given and cartesian ones to its cartesian op (``mul``, ``add``,
 ``convert``); any other command converts cartesian operand i with fallback i,
 runs the geometric op and converts its results back.  On success stdout is
-those results printed by ``_emit``, with exit 0 and nothing on stderr.  On a
-library error stdout is empty, stderr is ``error: `` plus the exception's
-text, and the exit code is 1.  Nothing escapes ``cli.main`` as a traceback,
-and no argv here is a usage error.
+those results printed as README's CLI section states (``cli_printed`` in
+``conftest``, which shares no code with the CLI), with exit 0 and nothing on
+stderr.  On a library error stdout is empty, stderr is ``error: `` plus the
+exception's text, and the exit code is 1.  Nothing escapes ``cli.main`` as a
+traceback, and no argv here is a usage error.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import re
 
 import pytest
 
-from conftest import TAU
+from conftest import TAU, cli_printed
 from hypercomplex import (
     CartesianVec,
     DegenerateArgs,
@@ -138,10 +139,7 @@ def _library(cmd, form, fmt, operands, fallbacks, option):
             results = [to_cartesian(r) for r in _GEOMETRIC[cmd](option, fallback, *hs)]
     except (ValueError, ArithmeticError) as exc:
         return 1, "", f"error: {exc}\n"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(results, fmt)
-    return 0, out.getvalue(), ""
+    return 0, cli_printed(results, fmt), ""
 
 
 # every command in both forms gets its own examples

@@ -254,6 +254,25 @@ def test_canonicalize_is_idempotent_and_point_preserving():
         assert max_gap(to_cartesian(c).components, to_cartesian(h).components) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1e3, -1e3, 1e6, -1e6, 1e12, -1e12])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["longitude", "latitude-2", "latitude-3"])
+def test_canonicalize_moves_the_point_by_at_most_a_bound_per_turn(t, position):
+    # a known limit: each whole turn removed is one of the float TAU, which
+    # is 2*sin(float pi) = 2.45e-16 below 2*pi, so the point of a unit form
+    # moves by up to that much per turn removed (libm's sin and cos reduce
+    # against 2*pi itself)
+    assert 2.4e-16 < 2 * math.sin(PI) < 2.5e-16
+    rng = random.Random(f"{t}:{position}")
+    for _ in range(50):
+        args = [rng.uniform(0.0, TAU), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)]
+        args[position] = t * rng.uniform(1.0, 1.1)
+        h = SphericalForm(1.0, args)
+        c = canonicalize(h)
+        turns = round((h.args[position] - c.args[position]) / TAU)
+        gap = max_gap(to_cartesian(c).components, to_cartesian(h).components)
+        assert gap <= (abs(turns) + 1) * 2.5e-16
+
+
 @pytest.mark.parametrize("lon", [-5e-324, -1e-17])
 def test_canonicalize_longitude_just_below_zero_is_zero(lon):
     # lon % TAU rounds up to TAU itself, which is out of [0, TAU)
