@@ -18,16 +18,17 @@ The render starts every orbit at ``h_1 = c``, which is exactly the step from
 ``h_0 = 0``, so iteration 1 is the radius-2 test on ``c`` itself.  Its
 squares come from the lattice axes, and a cell outside radius 2 gets its
 count 1 and never gets a lane.  The other cells go through a fixed pool of
-lanes, allocated once per sweep of a block and written in place, which a
-cursor fills in lattice order; so a render holds the counts and one pool,
-not state for every cell.  Each iteration squares the state once:
-``x^2 - y^2``, ``x^2 + y^2`` and ``z^2`` feed the escape test and are then
-reused by the next step.  An escaped cell gets its count and leaves the
-live mask but is stepped on with the rest until 1/8 of the pool is dead;
-then the live lanes are packed to the front and the freed lanes take the
-next cells, so lanes that started at different iterations share every pass.
-A lane alive after iteration ``n_max - 1`` is a member.  The cost follows
-the cell iterations actually run rather than cells x ``n_max``.
+lanes, allocated once per sweep of a block and written in place, which
+takes them in lattice order from one list of their indices.  So a render
+holds per cell its count, its inside flag and, if it is iterated, its
+index, and float state for one pool only.  Each iteration squares the state
+once: ``x^2 - y^2``, ``x^2 + y^2`` and ``z^2`` feed the escape test and are
+then reused by the next step.  An escaped cell gets its count and leaves
+the live mask but is stepped on with the rest until 1/8 of the pool is
+dead; then the live lanes are packed to the front and the freed lanes take
+the next cells, so lanes that started at different iterations share every
+pass.  A lane alive after iteration ``n_max - 1`` is a member.  The cost
+follows the cell iterations actually run rather than cells x ``n_max``.
 
 Members are retired early where that is provable.  Every 8th iteration,
 while at least a quarter of the pool is live, a contraction certificate
@@ -71,8 +72,9 @@ __all__ = [
 
 _APPROACHES = ("first", "second")
 _AXES = ("x", "y", "z")
-# lattice guard: the counts and the lane mask take 5 bytes a cell, 320 MiB
-# at the limit; the iterated state is a fixed-size pool
+# lattice guard: the counts, the inside mask and the list of iterated cells
+# take up to 13 bytes a cell, 832 MiB at the limit; the iterated state is a
+# fixed-size pool
 _MAX_CELLS = 1 << 26
 _MAX_N = (1 << 31) - 1  # the counts are int32
 
@@ -341,24 +343,15 @@ def _render_block(cfg: FractalConfig, xs: np.ndarray, ys: np.ndarray,
     # plane is left out of `todo`.  The y-planes are copied from the lower
     # ones, unless an orbit's square read the sign of y (second's rule on
     # x = +-0); then they take a second sweep.  The z-planes are copied last.
-    shape = (xs.size, ys.size, zs.size)
     lower_y, lower_z = _mirror_pairs(ys), _mirror_pairs(zs)
     upper_y, upper_z = ys.size - 1 - lower_y, zs.size - 1 - lower_z
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
         xx, yy, zz = xs * xs, ys * ys, zs * zs
-        R1 = (xx[:, None] + yy).ravel()
-        # the cells inside radius 2, in blocks of about one pool, so no float
-        # array the size of the lattice is made; the sums are of non-negative
-        # squares of finite centres, inf at worst, so never NaN
-        todo = np.empty((R1.size, zs.size), dtype=bool)
-        rows, cols = max(1, _POOL_LANES // zs.size), min(zs.size, _POOL_LANES)
-        for i in range(0, R1.size, rows):
-            for j in range(0, zs.size, cols):
-                np.less_equal(R1[i:i + rows, None] + zz[j:j + cols], 4.0,
-                              out=todo[i:i + rows, j:j + cols])
-        todo = todo.reshape(shape)
+        # the sums are of non-negative squares of finite centres, inf at
+        # worst, so never NaN
+        todo = (xx[:, None, None] + yy[:, None] + zz) <= 4.0
         counts = np.where(todo, np.int32(cfg.n_max), np.int32(1))
         todo[:, upper_y] = False
         todo[:, :, upper_z] = False
@@ -383,28 +376,36 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
     # returns how many lane steps read the sign of y.
     #
     # The iterations after the first run on a pool of at most _POOL_LANES
-    # lanes, whose buffers are allocated once and written through out=.  A
-    # cursor hands the marked cells to the pool in lattice order, each at h_1
-    # with its _squares; idx maps a lane back to its cell, and start is the
-    # iteration at which the lane held h_1, so a lane that escapes at
-    # iteration n has count n - start + 1.  Each iteration squares the
-    # lanes' states by the kernel and adds c, takes _squares once, for the
-    # escape test and then the next step, and tests them.  An escaped lane only leaves `alive`: it is stepped on, to
+    # lanes, whose buffers are allocated once and written through out=.
+    # `cells` lists the marked cells in lattice order, and the pool takes
+    # them from its front, each at h_1 with its _squares; idx maps a lane
+    # back to its cell, and start is the iteration at which the lane held
+    # h_1, so a lane that escapes at iteration n has count n - start + 1.
+    # Each iteration squares the lanes' states by the kernel and adds c,
+    # takes _squares once, for the escape test and then the next step, and
+    # tests them.  An escaped lane only leaves `alive`: it is stepped on, to
     # inf and NaN, and its count is never written again (new & alive), until
     # 1/8 of the carried lanes are dead.  Then the live lanes past the first
-    # n_alive move into the dead slots before them, and the cursor refills
-    # the slots behind.  The lanes of one refill are a cohort.  A lane alive
-    # after iteration n_max - 1 is a member, so its cohort retires it then,
-    # with its count n_max already set, after n_max - 2 steps.  Every 8th
-    # iteration, while a quarter of the pool is live, the certificate retires
-    # the lanes it proves members, with that same count.  Once the lattice
-    # is used up the pool shrinks to its live lanes instead.
+    # n_alive move into the dead slots before them, and the next cells of
+    # the list fill the slots behind.  The lanes of one refill are a cohort.
+    # A lane alive after iteration n_max - 1 is a member, so its cohort
+    # retires it then, with its count n_max already set, after n_max - 2
+    # steps.  Every 8th iteration, while a quarter of the pool is live, the
+    # certificate retires the lanes it proves members, with that same count.
+    # Once the list is used up the pool shrinks to its live lanes instead.
     n_max = cfg.n_max
     step = _STEPS[cfg.approach]
     second = cfg.approach == "second"
+    cells = todo.nonzero()[0]
     # at n_max <= 2 the first test already gave every count
-    size = min(_POOL_LANES, np.count_nonzero(todo)) if n_max > 2 else 0
-    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = np.empty((12, size))
+    size = min(_POOL_LANES, cells.size) if n_max > 2 else 0
+    # the float lanes are rows of one block, each starting on a 64-byte
+    # cache line: numpy's loops ran 20-30 % slower on rows that malloc
+    # happened to place off one
+    row = -(-size // 8) * 8
+    block = np.empty(12 * row + 8)
+    block = block[(-block.ctypes.data % 64) // 8:][:12 * row].reshape(12, row)
+    X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ = block[:, :size]
     # int64: the iteration number runs past n_max once a pool of members
     # has retired and the next one started, so near the int32 bound of
     # n_max it would overflow int32
@@ -419,22 +420,18 @@ def _sweep(cfg: FractalConfig, todo, counts, CX1, CY1, zs) -> int:
                 movers = alive[n_alive:].nonzero()[0] + n_alive
                 for a in (X, Y, Z, D, RHO2, ZZ, CX, CY, CZ, idx, start):
                     a[holes] = a[movers]
-            m = n_alive
-            while m < alive.size and cursor < todo.size:
-                found = todo[cursor:cursor + _POOL_LANES].nonzero()[0]
-                k = min(found.size, alive.size - m)
-                if k:
-                    fill = slice(m, m + k)
-                    cells = np.add(found[:k], cursor, out=idx[fill])
-                    col = cells // zs.size
-                    X[fill] = CX[fill] = CX1[col]
-                    Y[fill] = CY[fill] = CY1[col]
-                    Z[fill] = CZ[fill] = zs[cells - col * zs.size]
-                    _squares(X[fill], Y[fill], Z[fill], D[fill], RHO2[fill], ZZ[fill])
-                    start[fill] = n - 1
-                    m += k
-                cursor += found[k - 1] + 1 if k < found.size else _POOL_LANES
-            if m > n_alive:
+            cell = cells[cursor:cursor + alive.size - n_alive]
+            cursor += cell.size
+            m = n_alive + cell.size
+            if cell.size:
+                fill = slice(n_alive, m)
+                idx[fill] = cell
+                col = cell // zs.size
+                X[fill] = CX[fill] = CX1[col]
+                Y[fill] = CY[fill] = CY1[col]
+                Z[fill] = CZ[fill] = zs[cell - col * zs.size]
+                _squares(X[fill], Y[fill], Z[fill], D[fill], RHO2[fill], ZZ[fill])
+                start[fill] = n - 1
                 cohorts.append(n - 1)
             if m < alive.size:
                 X, Y, Z, XN, YN, ZN, D, RHO2, ZZ, CX, CY, CZ, idx, start, alive, hit = (

@@ -427,24 +427,32 @@ def test_exact_mirror_symmetries(approach, lo, hi, n):
 
 _SMALL_POOL = 64
 # every cell of the mixed box lies inside radius 2, so each is a lane after
-# iteration 1; its orbits escape early, late or never
-_MIXED = ((-1.9, 0.4), (-0.3, 0.3), (-0.2, 0.2))
+# iteration 1; its orbits escape early, late or never.  No pair of its
+# centres negates, so no plane is mirrored and every cell is swept
+_MIXED = ((-1.9, 0.4), (-0.3, 0.25), (-0.2, 0.15))
+# along z, about 20 of every 100 cells lie inside radius 2: the swept cells
+# come in runs more than one pool apart in lattice order
+_SPARSE = ((-1.0, 1.0), (0.0, 0.0), (-9.0, 10.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_max", [1, 2, 7, 100])
 @pytest.mark.parametrize("approach", ["first", "second"])
-@pytest.mark.parametrize("region, resolution, kind", [
-    pytest.param(_MIXED, (7, 3, 3), None, id="P-1-lanes"),
-    pytest.param(_MIXED, (4, 4, 4), None, id="P-lanes"),
-    pytest.param(_MIXED, (1, 1, 65), None, id="P+1-lanes-one-column"),
-    pytest.param(_MIXED, (43, 3, 1), None, id="2P+1-lanes"),
-    pytest.param(((0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)), (5, 5, 5), "escape", id="all-escape"),
-    pytest.param(((-0.2, 0.1),) * 3, (5, 5, 5), "member", id="all-member"),
+@pytest.mark.parametrize("region, resolution, pool, kind", [
+    pytest.param(_MIXED, (7, 3, 3), _SMALL_POOL, None, id="P-1-lanes"),
+    pytest.param(_MIXED, (4, 4, 4), _SMALL_POOL, None, id="P-lanes"),
+    pytest.param(_MIXED, (1, 1, 65), _SMALL_POOL, None, id="P+1-lanes-one-column"),
+    pytest.param(_MIXED, (8, 4, 4), _SMALL_POOL, None, id="2P-lanes"),
+    pytest.param(_MIXED, (43, 3, 1), _SMALL_POOL, None, id="2P+1-lanes"),
+    pytest.param(_MIXED, (7, 3, 3), 1, None, id="1-lane-pool"),
+    pytest.param(_SPARSE, (5, 1, 100), 16, None, id="runs-pools-apart"),
+    pytest.param(((0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)), (5, 5, 5), _SMALL_POOL, "escape",
+                 id="all-escape"),
+    pytest.param(((-0.2, 0.1),) * 3, (5, 5, 5), _SMALL_POOL, "member", id="all-member"),
 ])
-def test_render_matches_lockstep_across_pool_boundaries(monkeypatch, region, resolution, kind,
-                                                        approach, n_max, workers):
-    monkeypatch.setattr(fractal, "_POOL_LANES", _SMALL_POOL)
+def test_render_matches_lockstep_across_pool_boundaries(monkeypatch, region, resolution, pool,
+                                                        kind, approach, n_max, workers):
+    monkeypatch.setattr(fractal, "_POOL_LANES", pool)
     cfg = FractalConfig(approach=approach, n_max=n_max, region=region, resolution=resolution)
     counts = render_grid(cfg, workers=workers).counts
     assert np.array_equal(counts, lockstep_counts(cfg))
@@ -458,7 +466,8 @@ _lockstep = functools.lru_cache(maxsize=None)(lockstep_counts)
 def _spy_on_step(monkeypatch, approach):
     """Swap spies in for ``_sweep`` and the approach's step kernel; they
     collect the c_y and the c_z of every cell a sweep is handed, and how many
-    lanes each step call steps."""
+    lanes each step call steps, and check that every lane buffer a step is
+    handed starts on a 64-byte cache line."""
     real_sweep, real_step = fractal._sweep, fractal._STEPS[approach]
     seen_y, seen_z, lanes = set(), set(), []
 
@@ -469,6 +478,7 @@ def _spy_on_step(monkeypatch, approach):
         return real_sweep(cfg, todo, counts, CX1, CY1, zs)
 
     def step(X, *rest):
+        assert all(a.ctypes.data % 64 == 0 for a in (X, *rest))
         lanes.append(X.size)
         return real_step(X, *rest)
 
@@ -522,12 +532,15 @@ def test_second_renders_its_y_mirror_once_an_orbit_meets_x_zero(monkeypatch, wor
 
 
 def test_render_memory_is_the_counts_plus_one_pool():
-    # A 64^3 member-heavy render keeps 262144 lanes alive at n = 1.  Only
-    # the counts (4 B a cell) and the lane mask (1 B a cell) grow with the
-    # lattice; the pool's 16 lane buffers take at most 8 B a lane each.
+    # A 64^3 member-heavy render keeps 262144 lanes alive at n = 1.  What
+    # grows with the lattice is the counts (4 B a cell), the inside mask
+    # (1 B a cell) and the list of iterated cells (8 B each), a quarter of
+    # this box, whose y and z pairs all negate; the radius-2 test's sums
+    # (8 B a cell) are freed before that list is made.  The pool's 16 lane
+    # buffers take at most 8 B a lane each.
     cfg = FractalConfig(approach="second", region=((-0.5, 0.5),) * 3, resolution=(64, 64, 64))
     cells = 64 ** 3
-    bound = 5 * cells + 16 * 8 * fractal._POOL_LANES + (2 << 20)
+    bound = (4 + 1 + 8 // 4) * cells + 16 * 8 * fractal._POOL_LANES + (1 << 20)
     tracemalloc.start()
     try:
         grid = render_grid(cfg)
