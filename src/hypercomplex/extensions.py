@@ -57,6 +57,11 @@ _DEDUP_REACH = 2 * _ROOT_DEDUP_TOL
 # root guard: (N-1) * m**(N-1) candidates, under 2 s of enumeration at the
 # limit; the test suite, the demos and the benchmark stay below 25 000
 _MAX_ROOT_CANDIDATES = 1 << 20
+# argument guard: the enumeration reduces candidates by the float TAU, 2.45e-16
+# below 2*pi, but aims at the raw arguments' point, so its gaps grow with |t|.
+# At |t| <= 2**22 the candidates dedup merges are at worst 4.2e-10 apart, 2.4x
+# under its tolerance; from about 2**24 roots are lost.
+_MAX_ROOT_ARG = 2.0 ** 22
 
 
 class RootSet(_Value):
@@ -136,8 +141,11 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
     input takes the filtered enumeration; the two agree bit for bit.
 
     Roots of zero are defined as the single zero value.  A degree whose
-    ``(N-1) * m**(N-1)`` candidates pass ``2**20`` raises ``ValueError``
-    before any is built.
+    ``(N-1) * m**(N-1)`` candidates pass ``2**20``, or an argument whose
+    magnitude passes ``2**22``, raises ``ValueError`` before any candidate is
+    built: the candidates are reduced by the float ``TAU``, whose error grows
+    with the argument until roots are lost.  An exact reduction of the
+    arguments would lift the second bound.
     """
     m = operator.index(m)
     if m < 1:
@@ -151,6 +159,10 @@ def nth_roots(h: SphericalForm, m: int) -> RootSet:
         shown = count if count < 1 << 64 else "more than 2^64"
         raise ValueError(f"degree {m} in {h.dim}D makes (N-1)*m^(N-1) = {shown} root "
                          f"candidates, past the bound of {_MAX_ROOT_CANDIDATES}")
+    big = max(h.args, key=abs)
+    if abs(big) > _MAX_ROOT_ARG:
+        raise ValueError(f"argument {big!r} is past the root bound of {_MAX_ROOT_ARG:.0f} "
+                         "on |argument|")
     forms = [h] + [replicate(h, k) for k in range(3, h.dim + 1)]
     offsets = [j * (TAU / m) for j in range(m)]
     families = [[[t / m + o for o in offsets] for t in form.args] for form in forms]

@@ -325,11 +325,11 @@ _COMPACT_SHARE = 8  # pack and refill the pool once 1/8 of its lanes are dead
 _POOL_LANES = 8192
 
 
-def _mirror_pairs(c: np.ndarray) -> np.ndarray:
-    """Indices i < n // 2 of the centres whose mirror c[n-1-i] is exactly
-    -c[i]."""
-    i = np.arange(len(c) // 2)
-    return i[c[i] == -c[len(c) - 1 - i]]
+def _mirror_pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both planes of every exactly negated pair of centres: the indices
+    i < n // 2 with c[n-1-i] == -c[i], and their mirrors n-1-i."""
+    lower = (c[:len(c) // 2] == -c[::-1][:len(c) // 2]).nonzero()[0]
+    return lower, len(c) - 1 - lower
 
 
 def _render_block(cfg: FractalConfig, xs: np.ndarray, ys: np.ndarray,
@@ -343,8 +343,7 @@ def _render_block(cfg: FractalConfig, xs: np.ndarray, ys: np.ndarray,
     # plane is left out of `todo`.  The y-planes are copied from the lower
     # ones, unless an orbit's square read the sign of y (second's rule on
     # x = +-0); then they take a second sweep.  The z-planes are copied last.
-    lower_y, lower_z = _mirror_pairs(ys), _mirror_pairs(zs)
-    upper_y, upper_z = ys.size - 1 - lower_y, zs.size - 1 - lower_z
+    (lower_y, upper_y), (lower_z, upper_z) = _mirror_pairs(ys), _mirror_pairs(zs)
     # a square past the float range is inf, which escapes, and a dead lane
     # runs on to inf - inf = NaN; both are answers, not faults worth a warning
     with np.errstate(all="ignore"):
@@ -516,7 +515,7 @@ def _slice_index(cfg: FractalConfig) -> tuple[int, int, float]:
         raise ValueError("config has no slice; pgm_slice needs one")
     axis, value = cfg.slice_spec
     ai = _AXES.index(axis)
-    centers = _cell_axes(cfg)[ai]
+    centers = axis_centers(*cfg.region[ai], cfg.resolution[ai])
     idx = int(np.argmin(np.abs(centers - value)))
     return ai, idx, float(centers[idx])
 

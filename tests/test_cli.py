@@ -187,6 +187,16 @@ def test_a_root_degree_past_the_candidate_bound_exits_1(capsys):
                    "candidates, past the bound of 1048576\n")
 
 
+@pytest.mark.parametrize("argv, big", [
+    (("-m", "5", "1,1e20"), "1e+20"),
+    (("-m", "1", "3.14159,-1e20,1e-300,-1"), "-1e+20"),
+])
+def test_a_root_argument_past_the_bound_exits_1(capsys, argv, big):
+    code, out, err = run(capsys, "roots", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {big} is past the root bound of 4194304 on |argument|\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mul", "1e200,0.1,0.2", "1e200,0.1,0.2"), "result modulus overflowed to inf"),
     (("div", "1e200,0.1,0.2", "1e-200,0.1,0.2"), "result modulus overflowed to inf"),

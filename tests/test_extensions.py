@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -210,6 +211,42 @@ def test_the_root_bound_counts_every_candidate(monkeypatch):
     with pytest.raises(ValueError, match=r"^degree 6 in 3D makes \(N-1\)\*m\^\(N-1\) = 72 root "
                                          r"candidates, past the bound of 50$"):
         nth_roots(h, 6)
+
+
+_BOUND = 2.0 ** 22
+_PAST = math.nextafter(_BOUND, math.inf)
+
+
+@pytest.mark.parametrize("args, big", [
+    ((_PAST,), _PAST), ((0.3, -_PAST), -_PAST), ((1e20, 0.2, 0.1), 1e20),
+    ((3.14159, -1e20, 1e-300), -1e20),
+])
+def test_an_argument_past_the_root_bound_fails_before_enumerating(monkeypatch, args, big):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(extensions, "replicate", never)
+    message = f"argument {big!r} is past the root bound of 4194304 on |argument|"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        nth_roots(SphericalForm(1.0, args), 1)
+
+
+def test_roots_up_to_the_argument_bound_count_as_the_canonical_twin():
+    # non-canonical arguments take the filtered enumeration, whose drift
+    # grows with the argument; up to the bound it loses and adds no root
+    rng = random.Random(33)
+    cases = [(SphericalForm(1.0, (t,) * (dim - 1)), m)
+             for t in (_BOUND, -_BOUND) for dim, m in ((2, 5), (3, 3), (4, 2))]
+    for e in (4, 12, 18, 20, 21, 22):
+        for _ in range(8):
+            dim, m = rng.choice((2, 3, 4)), rng.choice((2, 3, 5))
+            args = [rng.uniform(0.0, TAU)] + [rng.uniform(-1.2, 1.2) for _ in range(dim - 2)]
+            for k in range(dim - 1):
+                if k == 0 or rng.random() < 0.5:
+                    args[k] = rng.choice((-1, 1)) * rng.uniform(0.5, 1.0) * 2.0 ** e
+            cases.append((SphericalForm(1.0, tuple(args)), m))
+    for h, m in cases:
+        assert len(nth_roots(h, m).roots) == len(nth_roots(canonicalize(h), m).roots)
 
 
 def test_roots_power_back_and_3d_count_bounds():

@@ -534,21 +534,23 @@ def test_second_renders_its_y_mirror_once_an_orbit_meets_x_zero(monkeypatch, wor
 def test_render_memory_is_the_counts_plus_one_pool():
     # A 64^3 member-heavy render keeps 262144 lanes alive at n = 1.  What
     # grows with the lattice is the counts (4 B a cell), the inside mask
-    # (1 B a cell) and the list of iterated cells (8 B each), a quarter of
-    # this box, whose y and z pairs all negate; the radius-2 test's sums
-    # (8 B a cell) are freed before that list is made.  The pool's 16 lane
-    # buffers take at most 8 B a lane each.
-    cfg = FractalConfig(approach="second", region=((-0.5, 0.5),) * 3, resolution=(64, 64, 64))
+    # (1 B a cell) and the list of iterated cells (8 B each): a quarter of
+    # the -0.5:0.5 box, whose y and z pairs all negate, and every cell of
+    # the shifted -0.5:0.49 box, which has no exact pair.  The radius-2
+    # test's sums (8 B a cell) are freed before that list is made.  The
+    # pool's 16 lane buffers take at most 8 B a lane each.
     cells = 64 ** 3
-    bound = (4 + 1 + 8 // 4) * cells + 16 * 8 * fractal._POOL_LANES + (1 << 20)
-    tracemalloc.start()
-    try:
-        grid = render_grid(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grid.counts.nbytes == 4 * cells
-    assert peak <= bound <= 8 << 20
+    for hi, swept in ((0.5, cells // 4), (0.49, cells)):
+        cfg = FractalConfig(approach="second", region=((-0.5, hi),) * 3, resolution=(64, 64, 64))
+        bound = (4 + 1) * cells + 8 * swept + 16 * 8 * fractal._POOL_LANES + (1 << 20)
+        tracemalloc.start()
+        try:
+            grid = render_grid(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.counts.nbytes == 4 * cells
+        assert peak <= bound <= 8 << 20, (hi, peak / 2 ** 20, bound / 2 ** 20)
 
 
 # -- contraction certificate -------------------------------------------------------
